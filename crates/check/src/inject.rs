@@ -399,7 +399,7 @@ fn conformance_case(
 /// transactions of seeded writes — enough slot reuse and commit-marker
 /// traffic that persist reordering or image corruption lands somewhere
 /// recovery must care about.
-pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
+pub fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut tx = TxWriter::new(Layout::standard(), arch);
     let base = tx.heap_alloc(4 * 8, 8);
@@ -422,7 +422,7 @@ pub(crate) fn tx_case_program(seed: u64, arch: ArchConfig) -> TxOutput {
 /// image, derived deterministically from the case seed. Corruptions
 /// target words the crash actually persisted (a torn write or stuck
 /// line needs a write to tear or lose); which word is seed-chosen.
-fn media_mutate(fault: FaultInjection, seed: u64, layout: &Layout, image: &mut NvmImage) {
+pub fn media_mutate(fault: FaultInjection, seed: u64, layout: &Layout, image: &mut NvmImage) {
     let mut rng = SmallRng::seed_from_u64(mix64(seed ^ 0xFA01));
     match fault {
         FaultInjection::BitFlipLogEntry => {

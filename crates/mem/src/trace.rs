@@ -10,8 +10,10 @@
 //!
 //! Replaying both streams up to an arbitrary crash instant yields the
 //! exact NVM contents a power failure at that instant would leave behind;
-//! [`nvm_image_at`] does exactly that. The `ede-nvm` crate runs undo-log
-//! recovery over the resulting image to test crash consistency.
+//! [`nvm_image_at`] does exactly that for one instant, and [`Replayer`]
+//! does it for a nondecreasing series of instants in one pass. The
+//! `ede-nvm` crate runs undo-log recovery over the resulting images to
+//! test crash consistency.
 
 use std::collections::HashMap;
 
@@ -88,6 +90,8 @@ impl PersistTrace {
 /// Stores at the crash cycle are applied before persists at the same
 /// cycle, matching the simulator's intra-cycle ordering (a persist
 /// admission snapshots the line as of that cycle's visible stores).
+/// A one-shot [`Replayer`]; sweeps over many crash instants should keep
+/// one replayer and advance it instead.
 ///
 /// # Example
 ///
@@ -102,43 +106,114 @@ impl PersistTrace {
 /// assert_eq!(nvm_image_at(&t, 20, 64)[&0x1000], 42); // persisted at 20
 /// ```
 pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> HashMap<u64, u64> {
-    // Volatile view: word address → value, updated by stores.
-    let mut volatile: HashMap<u64, u64> = HashMap::new();
-    // Persistent image.
-    let mut image: HashMap<u64, u64> = HashMap::new();
+    let mut replay = Replayer::new(trace, line_bytes);
+    replay.advance_to(crash_cycle);
+    replay.into_image()
+}
 
-    let mut si = 0;
-    let mut pi = 0;
-    let stores = &trace.stores;
-    let persists = &trace.persists;
-    loop {
-        let s = stores.get(si).filter(|e| e.cycle <= crash_cycle);
-        let p = persists.get(pi).filter(|e| e.cycle <= crash_cycle);
-        let take_store = match (s, p) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(se), Some(pe)) => se.cycle <= pe.cycle,
-        };
-        if take_store {
-            let se = s.expect("store present");
-            volatile.insert(se.addr, se.value[0]);
-            if se.width == 16 {
-                volatile.insert(se.addr + 8, se.value[1]);
-            }
-            si += 1;
-        } else {
-            let pe = p.expect("persist present");
-            for off in (0..line_bytes).step_by(8) {
-                let w = pe.line + off;
-                if let Some(&v) = volatile.get(&w) {
-                    image.insert(w, v);
-                }
-            }
-            pi += 1;
+/// Replays a [`PersistTrace`] forward, one crash instant after another:
+/// the incremental form of [`nvm_image_at`]. It keeps the volatile view
+/// and the persisted image between calls, so visiting every crash
+/// instant of a trace costs one pass over its events instead of one
+/// pass per instant.
+///
+/// # Example
+///
+/// ```
+/// use ede_mem::trace::{nvm_image_at, PersistEvent, PersistTrace, Replayer, StoreEvent};
+///
+/// let mut t = PersistTrace::default();
+/// t.record_store(StoreEvent { cycle: 10, addr: 0x1000, width: 8, value: [42, 0] });
+/// t.record_persist(PersistEvent { cycle: 20, line: 0x1000 });
+///
+/// let mut r = Replayer::new(&t, 64);
+/// for c in t.persist_cycles() {
+///     r.advance_to(c);
+///     assert_eq!(*r.image(), nvm_image_at(&t, c, 64));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Replayer<'t> {
+    trace: &'t PersistTrace,
+    line_bytes: u64,
+    next_store: usize,
+    next_persist: usize,
+    /// Volatile view: word address → value, updated by stores.
+    volatile: HashMap<u64, u64>,
+    /// Persistent image.
+    image: HashMap<u64, u64>,
+}
+
+impl<'t> Replayer<'t> {
+    /// A replayer positioned before the first event (empty image).
+    pub fn new(trace: &'t PersistTrace, line_bytes: u64) -> Replayer<'t> {
+        Replayer {
+            trace,
+            line_bytes,
+            next_store: 0,
+            next_persist: 0,
+            volatile: HashMap::new(),
+            image: HashMap::new(),
         }
     }
-    image
+
+    /// Applies every event at or before `crash_cycle`, so that
+    /// [`image`](Self::image) equals `nvm_image_at(trace, crash_cycle, _)`.
+    /// Crash cycles must be nondecreasing across calls: the image only
+    /// moves forward, so an earlier cycle leaves it where it is.
+    pub fn advance_to(&mut self, crash_cycle: u64) {
+        self.advance_with(crash_cycle, |_, _| {});
+    }
+
+    /// [`advance_to`](Self::advance_to), calling `changed(addr, value)`
+    /// for each persist that gives a word a new value or makes it present
+    /// — the changes an incremental consumer must fold in.
+    pub fn advance_with(&mut self, crash_cycle: u64, mut changed: impl FnMut(u64, u64)) {
+        let stores = &self.trace.stores;
+        let persists = &self.trace.persists;
+        loop {
+            let s = stores
+                .get(self.next_store)
+                .filter(|e| e.cycle <= crash_cycle);
+            let p = persists
+                .get(self.next_persist)
+                .filter(|e| e.cycle <= crash_cycle);
+            let take_store = match (s, p) {
+                (None, None) => break,
+                (Some(se), Some(pe)) => se.cycle <= pe.cycle,
+                (s, _) => s.is_some(),
+            };
+            if take_store {
+                let se = s.expect("store present");
+                self.volatile.insert(se.addr, se.value[0]);
+                if se.width == 16 {
+                    self.volatile.insert(se.addr + 8, se.value[1]);
+                }
+                self.next_store += 1;
+            } else {
+                let pe = p.expect("persist present");
+                for off in (0..self.line_bytes).step_by(8) {
+                    let w = pe.line + off;
+                    if let Some(&v) = self.volatile.get(&w) {
+                        if self.image.insert(w, v) != Some(v) {
+                            changed(w, v);
+                        }
+                    }
+                }
+                self.next_persist += 1;
+            }
+        }
+    }
+
+    /// The persisted image as of the last crash cycle advanced to.
+    pub fn image(&self) -> &HashMap<u64, u64> {
+        &self.image
+    }
+
+    /// Consumes the replayer, returning its persisted image.
+    pub fn into_image(self) -> HashMap<u64, u64> {
+        self.image
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +307,28 @@ mod tests {
         // one past the horizon.
         assert_eq!(t.persist_cycles(), vec![0, 10, 20, 21]);
         assert_eq!(PersistTrace::default().persist_cycles(), vec![0, 1]);
+    }
+
+    #[test]
+    fn replayer_reports_only_changed_words() {
+        let mut t = PersistTrace::default();
+        t.record_store(st(5, 0x100, 1));
+        t.record_store(st(5, 0x108, 2));
+        t.record_persist(PersistEvent { cycle: 10, line: 0x100 });
+        t.record_store(st(15, 0x108, 3));
+        t.record_persist(PersistEvent { cycle: 20, line: 0x100 });
+        let mut r = Replayer::new(&t, 64);
+        let mut seen = Vec::new();
+        r.advance_with(10, |a, v| seen.push((a, v)));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(0x100, 1), (0x108, 2)]);
+        seen.clear();
+        // Re-persisting 0x100 with the same value is not a change.
+        r.advance_with(20, |a, v| seen.push((a, v)));
+        assert_eq!(seen, vec![(0x108, 3)]);
+        // Going back in time leaves the image where it is.
+        r.advance_to(0);
+        assert_eq!(*r.image(), nvm_image_at(&t, 20, 64));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the memory hierarchy and the persist buffer.
 
 use ede_mem::nvm::PersistBuffer;
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::{MemConfig, MemSystem, ReqKind};
 use ede_util::check::{self, any, Just, Strategy};
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
@@ -109,6 +109,32 @@ property! {
             prop_assert!(guard < 2_000_000, "memory system hung with {} pending", pending.len());
         }
         prop_assert!(issued > 0);
+    }
+
+    /// The incremental replayer, advanced through a trace in one forward
+    /// pass, holds `nvm_image_at`'s image at every crash instant — with
+    /// 8- and 16-byte stores, same-cycle store/persist ties and re-persists.
+    fn replayer_matches_nvm_image_at(
+        events in check::vec(((0u64..24, any::<u64>()), (any::<bool>(), 0u8..3, 0u64..3)), 1..80)
+    ) {
+        use ede_mem::trace::{PersistEvent, PersistTrace, StoreEvent};
+        let mut t = PersistTrace::default();
+        let (mut cycle, mut last_persist) = (1, 0);
+        for ((slot, value), (wide, persist, gap)) in events {
+            let addr = 0x1_0000_0000 + slot * 8; // three lines
+            let width = if wide { 16 } else { 8 };
+            t.record_store(StoreEvent { cycle, addr, width, value: [value, !value] });
+            if persist > 0 {
+                last_persist = last_persist.max(cycle + u64::from(persist) - 1);
+                t.record_persist(PersistEvent { cycle: last_persist, line: addr & !63 });
+            }
+            cycle += gap;
+        }
+        let mut r = Replayer::new(&t, 64);
+        for c in 0..=t.horizon() + 1 {
+            r.advance_to(c);
+            prop_assert_eq!(r.image(), &nvm_image_at(&t, c, 64), "cycle {}", c);
+        }
     }
 
     /// Image reconstruction: a word appears in the crash image only if it

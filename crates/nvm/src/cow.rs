@@ -39,7 +39,7 @@ use crate::layout::Layout;
 use crate::memory::SimMemory;
 use crate::recovery::NvmImage;
 use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder};
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::PersistTrace;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -547,21 +547,38 @@ impl CowChecker {
             .unwrap_or(0)
     }
 
+    /// Every logical word any transaction ever touched, sorted.
+    fn touched(&self) -> Vec<u64> {
+        let mut touched: Vec<u64> = self
+            .records
+            .iter()
+            .flat_map(|r| r.writes.iter().map(|&(l, _, _)| l))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        touched
+    }
+
     /// Checks one crash instant; returns the committed transaction id.
     ///
     /// # Errors
     ///
     /// The first [`CowViolation`] found.
     pub fn check_at(&self, trace: &PersistTrace, cycle: u64) -> Result<u64, CowViolation> {
-        let image = nvm_image_at(trace, cycle, 64);
+        self.check_image(&nvm_image_at(trace, cycle, 64), &self.touched())
+    }
+
+    /// Resolves every `touched` logical word through the tree the
+    /// image's root points at and compares it with the committed prefix.
+    fn check_image(&self, image: &NvmImage, touched: &[u64]) -> Result<u64, CowViolation> {
         let (root, committed) = resolve_root(
             (
-                self.read_phys(&image, self.meta.root_line),
-                self.read_phys(&image, self.meta.root_line + 8),
+                self.read_phys(image, self.meta.root_line),
+                self.read_phys(image, self.meta.root_line + 8),
             ),
             (
-                self.read_phys(&image, self.meta.root_twin),
-                self.read_phys(&image, self.meta.root_twin + 8),
+                self.read_phys(image, self.meta.root_twin),
+                self.read_phys(image, self.meta.root_twin + 8),
             ),
         );
         // Expected logical state after the committed prefix.
@@ -573,19 +590,12 @@ impl CowChecker {
         }
         // Every logical word any transaction ever touched must resolve to
         // its expected value.
-        let mut touched: Vec<u64> = self
-            .records
-            .iter()
-            .flat_map(|r| r.writes.iter().map(|&(l, _, _)| l))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for l in touched {
+        for &l in touched {
             let slot = l / 64;
             let word = (l % 64) / 8;
-            let leaf = self.read_phys(&image, root + (slot / LEAF_FANOUT) * 8);
-            let block = self.read_phys(&image, leaf + (slot % LEAF_FANOUT) * 8);
-            let found = self.read_phys(&image, block + word * 8);
+            let leaf = self.read_phys(image, root + (slot / LEAF_FANOUT) * 8);
+            let block = self.read_phys(image, leaf + (slot % LEAF_FANOUT) * 8);
+            let found = self.read_phys(image, block + word * 8);
             let want = expected.get(&l).copied().unwrap_or(0);
             if found != want {
                 return Err(CowViolation {
@@ -600,21 +610,18 @@ impl CowChecker {
     }
 
     /// Exhaustively checks every distinct crash image (persist-event
-    /// instants, plus the boundaries).
+    /// instants, plus the boundaries) in one forward [`Replayer`] sweep.
     ///
     /// # Errors
     ///
     /// The first violating `(cycle, violation)` pair.
     pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CowViolation)> {
-        let mut cycles: Vec<u64> = trace.persists.iter().map(|p| p.cycle).collect();
-        cycles.push(0);
-        cycles.push(trace.horizon() + 1);
-        cycles.sort_unstable();
-        cycles.dedup();
-        for c in cycles {
-            if let Err(v) = self.check_at(trace, c) {
-                return Err((c, v));
-            }
+        let touched = self.touched();
+        let mut replay = Replayer::new(trace, 64);
+        for c in trace.persist_cycles() {
+            replay.advance_to(c);
+            self.check_image(replay.image(), &touched)
+                .map_err(|v| (c, v))?;
         }
         Ok(())
     }

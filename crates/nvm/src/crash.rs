@@ -5,7 +5,9 @@
 //! any instant: reconstruct the NVM image, run undo recovery, and check
 //! that the recovered state equals the functional state after exactly the
 //! committed prefix of transactions — failure atomicity *and* commit
-//! ordering in one predicate.
+//! ordering in one predicate. [`CrashChecker::check_all_images`] reaches
+//! the same verdict for every distinct crash image of a run in one
+//! forward pass over its trace.
 //!
 //! For the crash-safe configurations (B, IQ, WB) this holds at every
 //! instant; for SU and U the test suite demonstrates crash points where
@@ -15,9 +17,9 @@ use crate::codegen::{TxOutput, TxRecord};
 use crate::layout::Layout;
 use crate::log::{classify_marker, MarkerCopy};
 use crate::recovery::{recover, NvmImage};
-use ede_mem::trace::nvm_image_at;
+use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::PersistTrace;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A failure-atomicity violation found at a crash point.
@@ -96,6 +98,11 @@ impl From<ConsistencyError> for CheckFailure {
 
 /// A recovery procedure over a crash image (undo rollback by default;
 /// the redo module provides its replay counterpart).
+///
+/// Contract: a recovery procedure reads only the log region,
+/// `[log_header, heap_base)`. It may write anywhere. The exhaustive
+/// sweep ([`CrashChecker::check_all_images`]) relies on this and runs
+/// recovery on a view of the log region alone.
 pub type RecoveryFn = fn(&mut NvmImage, &Layout) -> crate::recovery::RecoveryResult;
 
 /// Checks crash consistency of one simulated run.
@@ -103,9 +110,9 @@ pub type RecoveryFn = fn(&mut NvmImage, &Layout) -> crate::recovery::RecoveryRes
 pub struct CrashChecker {
     layout: Layout,
     initial: HashMap<u64, u64>,
+    init_writes: Vec<(u64, u64)>,
     records: Vec<TxRecord>,
     recovery: RecoveryFn,
-    jobs: usize,
 }
 
 impl CrashChecker {
@@ -121,20 +128,10 @@ impl CrashChecker {
         CrashChecker {
             layout: out.layout,
             initial: out.init_writes.iter().copied().collect(),
+            init_writes: out.init_writes.clone(),
             records: out.records.clone(),
             recovery,
-            jobs: 1,
         }
-    }
-
-    /// Sets the worker threads [`check_all_images`](Self::check_all_images)
-    /// spreads its crash instants over: 0 = auto (`EDE_JOBS` or the host
-    /// parallelism), 1 = sequential (the default — callers that already
-    /// run inside a worker pool should keep it). The verdict is identical
-    /// for every value.
-    pub fn with_jobs(mut self, jobs: usize) -> CrashChecker {
-        self.jobs = jobs;
-        self
     }
 
     /// The functional value every tracked address should hold after the
@@ -149,16 +146,16 @@ impl CrashChecker {
         m
     }
 
-    /// Every data address any transaction (or init) touched.
+    /// Every data address any transaction (or init) touched, in a fixed
+    /// order: preloaded words in `init_writes` order, then transaction
+    /// writes in record order. The first failing address in this order
+    /// is the one a violation names.
     fn tracked_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.initial
-            .keys()
-            .copied()
-            .chain(
-                self.records
-                    .iter()
-                    .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a)),
-            )
+        self.init_writes.iter().map(|&(a, _)| a).chain(
+            self.records
+                .iter()
+                .flat_map(|r| r.writes.iter().map(|&(a, _, _)| a)),
+        )
     }
 
     /// Simulates a crash at `cycle`, runs recovery, and checks failure
@@ -215,16 +212,7 @@ impl CrashChecker {
         for (&a, &v) in &self.initial {
             image.entry(a).or_insert(v);
         }
-        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
-        if classify_marker(rd(self.layout.log_header)) == MarkerCopy::Corrupt
-            && classify_marker(rd(self.layout.log_header_twin)) == MarkerCopy::Corrupt
-        {
-            return Err(CheckFailure::Unrecoverable {
-                diagnosis: "both commit-marker copies fail validation — \
-                            no committed id to recover toward"
-                    .into(),
-            });
-        }
+        self.header_check(&image)?;
         let result = (self.recovery)(&mut image, &self.layout);
         let k = result.committed_txid.min(self.records.len() as u64);
         let expected = self.expected_after(k);
@@ -250,26 +238,51 @@ impl CrashChecker {
         Ok(result.committed_txid)
     }
 
+    /// Rejects an image whose commit marker is corrupt on both header
+    /// lines: recovery has no committed id to recover toward.
+    fn header_check(&self, image: &NvmImage) -> Result<(), CheckFailure> {
+        let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
+        if classify_marker(rd(self.layout.log_header)) == MarkerCopy::Corrupt
+            && classify_marker(rd(self.layout.log_header_twin)) == MarkerCopy::Corrupt
+        {
+            return Err(CheckFailure::Unrecoverable {
+                diagnosis: "both commit-marker copies fail validation — \
+                            no committed id to recover toward"
+                    .into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Exhaustively checks every distinct crash image the run could leave
     /// behind. The NVM image only changes at persist events, so checking
     /// at each persist cycle (plus the instants just before the first and
     /// after the last) covers *every* possible crash instant.
     ///
-    /// The instants are independent, so they fan out across
-    /// [`with_jobs`](Self::with_jobs) workers; outcomes are merged in
-    /// cycle order, so the reported violation is the earliest-cycle one
-    /// for every job count.
+    /// One forward sweep: a [`Replayer`] advances through the trace once,
+    /// recovery runs on the log region alone (see [`RecoveryFn`]), and
+    /// the expected state and the set of mismatched words are updated
+    /// only where a persisted word or the committed count changed. The
+    /// verdict equals [`check_at`](Self::check_at) at every cycle in
+    /// order, stopping at the first failure.
     ///
     /// # Errors
     ///
     /// The first violating `(cycle, error)` pair, in cycle order.
     pub fn check_all_images(&self, trace: &PersistTrace) -> Result<(), (u64, CheckFailure)> {
-        self.check_all_images_mutated(trace, &|_, _| {})
+        let mut sweep = Sweep::new(self);
+        let mut replay = Replayer::new(trace, 64);
+        for c in trace.persist_cycles() {
+            replay.advance_with(c, |addr, value| sweep.persisted(addr, value));
+            sweep.check().map_err(|e| (c, e))?;
+        }
+        Ok(())
     }
 
     /// [`check_all_images`](Self::check_all_images) with a per-instant
     /// media-corruption hook: `mutate(cycle, image)` runs on each
-    /// reconstructed image before recovery.
+    /// reconstructed image before recovery, which then runs through
+    /// [`check_image`](Self::check_image).
     ///
     /// # Errors
     ///
@@ -277,16 +290,16 @@ impl CrashChecker {
     pub fn check_all_images_mutated(
         &self,
         trace: &PersistTrace,
-        mutate: &(dyn Fn(u64, &mut NvmImage) + Sync),
+        mutate: &dyn Fn(u64, &mut NvmImage),
     ) -> Result<(), (u64, CheckFailure)> {
-        let cycles = trace.persist_cycles();
-        ede_util::pool::par_map_indexed(self.jobs, &cycles, |_, &c| {
-            self.check_at_mutated(trace, c, &|image| mutate(c, image))
-                .map_err(|e| (c, e))
-        })
-        .into_iter()
-        .collect::<Result<Vec<u64>, _>>()
-        .map(|_| ())
+        let mut replay = Replayer::new(trace, 64);
+        for c in trace.persist_cycles() {
+            replay.advance_to(c);
+            let mut image = replay.image().clone();
+            mutate(c, &mut image);
+            self.check_image(image).map_err(|e| (c, e))?;
+        }
+        Ok(())
     }
 
     /// Checks a set of crash instants, returning every violation.
@@ -299,6 +312,155 @@ impl CrashChecker {
             .into_iter()
             .filter_map(|c| self.check_at(trace, c).err().map(|e| (c, e)))
             .collect()
+    }
+}
+
+/// The oracle state [`CrashChecker::check_all_images`] carries from one
+/// crash image to the next. Tracked addresses are numbered in
+/// [`CrashChecker::tracked_addrs`] order with duplicates dropped, so the
+/// lowest failing index is the address [`CrashChecker::check_image`]
+/// would name.
+struct Sweep<'c> {
+    checker: &'c CrashChecker,
+    /// Tracked addresses, first occurrence order.
+    addrs: Vec<u64>,
+    /// Tracked address → index into `addrs`.
+    index: HashMap<u64, usize>,
+    /// Per tracked address: `(record index, new value)` of every
+    /// transactional write to it, in record order.
+    history: Vec<Vec<(usize, u64)>>,
+    /// Per tracked address: the preloaded value (0 if none).
+    init: Vec<u64>,
+    /// Per tracked address: the value before recovery — the persisted
+    /// word, else the preloaded one. Log-region words stay at `init`;
+    /// `log` holds them.
+    base: Vec<u64>,
+    /// Per tracked address: the value after the first `k` transactions.
+    expected: Vec<u64>,
+    k: usize,
+    /// Tracked addresses outside the log region whose `base` differs
+    /// from `expected`.
+    mismatched: BTreeSet<usize>,
+    /// Tracked addresses inside the log region, re-checked every image.
+    in_log: Vec<usize>,
+    /// The log region as recovery sees it: preloaded words overlaid by
+    /// persisted ones.
+    log: NvmImage,
+}
+
+impl<'c> Sweep<'c> {
+    fn new(checker: &'c CrashChecker) -> Sweep<'c> {
+        let layout = checker.layout;
+        let mut addrs = Vec::new();
+        let mut index = HashMap::new();
+        for a in checker.tracked_addrs() {
+            index.entry(a).or_insert_with(|| {
+                addrs.push(a);
+                addrs.len() - 1
+            });
+        }
+        let mut history = vec![Vec::new(); addrs.len()];
+        for (r, rec) in checker.records.iter().enumerate() {
+            for &(a, _, new) in &rec.writes {
+                history[index[&a]].push((r, new));
+            }
+        }
+        let init: Vec<u64> = addrs
+            .iter()
+            .map(|a| checker.initial.get(a).copied().unwrap_or(0))
+            .collect();
+        let in_log = (0..addrs.len())
+            .filter(|&i| layout.in_log(addrs[i]))
+            .collect();
+        let log = checker
+            .initial
+            .iter()
+            .filter(|(&a, _)| layout.in_log(a))
+            .map(|(&a, &v)| (a, v))
+            .collect();
+        Sweep {
+            checker,
+            addrs,
+            index,
+            history,
+            base: init.clone(),
+            expected: init.clone(),
+            init,
+            k: 0,
+            mismatched: BTreeSet::new(),
+            in_log,
+            log,
+        }
+    }
+
+    /// Folds in a persisted word's new value.
+    fn persisted(&mut self, addr: u64, value: u64) {
+        if self.checker.layout.in_log(addr) {
+            self.log.insert(addr, value);
+        } else if let Some(&i) = self.index.get(&addr) {
+            self.base[i] = value;
+            self.refresh(i);
+        }
+    }
+
+    /// Re-derives whether tracked address `i` is mismatched.
+    fn refresh(&mut self, i: usize) {
+        if self.base[i] != self.expected[i] && !self.checker.layout.in_log(self.addrs[i]) {
+            self.mismatched.insert(i);
+        } else {
+            self.mismatched.remove(&i);
+        }
+    }
+
+    /// Moves the expected state to `k` committed transactions, touching
+    /// only the addresses the transactions between the two counts wrote.
+    fn commit_to(&mut self, k: usize) {
+        let (lo, hi) = (self.k.min(k), self.k.max(k));
+        let checker = self.checker;
+        for rec in &checker.records[lo..hi] {
+            for &(a, _, _) in &rec.writes {
+                let i = self.index[&a];
+                let h = &self.history[i];
+                let n = h.partition_point(|&(r, _)| r < k);
+                self.expected[i] = if n == 0 { self.init[i] } else { h[n - 1].1 };
+                self.refresh(i);
+            }
+        }
+        self.k = k;
+    }
+
+    /// Recovers the current image and checks it, as
+    /// [`CrashChecker::check_image`] does.
+    fn check(&mut self) -> Result<u64, CheckFailure> {
+        let checker = self.checker;
+        checker.header_check(&self.log)?;
+        let mut view = self.log.clone();
+        let result = (checker.recovery)(&mut view, &checker.layout);
+        self.commit_to(result.committed_txid.min(checker.records.len() as u64) as usize);
+        // The view holds the log region plus every word recovery wrote;
+        // other tracked words hold their pre-recovery value.
+        let found = |i: usize| view.get(&self.addrs[i]).copied().unwrap_or(self.base[i]);
+        let fails = |i: &usize| found(*i) != self.expected[*i];
+        let written = view
+            .keys()
+            .filter(|&&a| !checker.layout.in_log(a))
+            .filter_map(|a| self.index.get(a));
+        let first = written
+            .chain(&self.in_log)
+            .chain(self.mismatched.iter().find(|i| fails(i)))
+            .copied()
+            .filter(fails)
+            .min();
+        match first {
+            None => Ok(result.committed_txid),
+            Some(i) => Err(ConsistencyError {
+                addr: self.addrs[i],
+                expected: self.expected[i],
+                found: found(i),
+                committed_txid: result.committed_txid,
+            }
+            .into()),
+        }
     }
 }
 
@@ -433,17 +595,59 @@ mod tests {
     }
 
     #[test]
-    fn check_all_images_verdict_is_identical_for_every_job_count() {
+    fn sweep_equals_the_per_cycle_check_at_loop() {
         let (out, a) = simple_output();
-        // Data persisted with no log entry: a violation exists.
-        let trace = synthetic_trace(&[(a, 5, true), (a, 6, true)]);
-        let base = CrashChecker::new(&out).check_all_images(&trace);
-        assert!(base.is_err());
-        for jobs in [2, 4] {
-            let r = CrashChecker::new(&out)
-                .with_jobs(jobs)
-                .check_all_images(&trace);
-            assert_eq!(r, base, "jobs {jobs}");
+        let layout = out.layout;
+        let slot = layout.slot_addr(0);
+        use crate::log::{checksum, header_word, OFF_ADDR, OFF_MAGIC, OFF_TXID};
+        let logged = [
+            (a, 5, true),
+            (slot + OFF_ADDR, a, false),
+            (slot + OFF_ADDR + 8, 5, false),
+            (slot + OFF_TXID, 1, false),
+            (slot + OFF_TXID + 8, checksum(a, 5, 1), true),
+            (a, 6, true),
+            (layout.log_header, header_word(1), true),
+        ];
+        let traces = [
+            synthetic_trace(&logged),
+            // Data persisted with no log entry: a violation exists.
+            synthetic_trace(&[(a, 5, true), (a, 6, true)]),
+            // Commit marker raced ahead of the data.
+            synthetic_trace(&[(a, 5, true), (layout.log_header, header_word(1), true)]),
+            // A preloaded log-region word (the superblock magic) lost.
+            synthetic_trace(&[(a, 5, true), (layout.log_header + OFF_MAGIC, 0xBAD, true)]),
+        ];
+        for (n, trace) in traces.iter().enumerate() {
+            let checker = CrashChecker::new(&out);
+            let reference = trace
+                .persist_cycles()
+                .into_iter()
+                .try_for_each(|c| checker.check_at(trace, c).map(|_| ()).map_err(|e| (c, e)));
+            assert_eq!(checker.check_all_images(trace), reference, "trace {n}");
+            assert_eq!(reference.is_ok(), n == 0, "trace {n}");
+        }
+    }
+
+    #[test]
+    fn violation_names_the_same_address_for_every_checker() {
+        // Two preloaded words are both wrong at the crash instant: the
+        // reported address must not depend on hash iteration order.
+        let mut tx = TxWriter::new(Layout::standard(), ArchConfig::Baseline);
+        let words: Vec<u64> = (0..8).map(|_| tx.heap_alloc(8, 8)).collect();
+        for (i, &w) in words.iter().enumerate() {
+            tx.write_init(w, 10 + i as u64);
+        }
+        tx.finish_init();
+        let out = tx.finish();
+        let mut image = NvmImage::new();
+        image.insert(words[5], 0xBAD);
+        image.insert(words[2], 0xBAD);
+        for _ in 0..32 {
+            let err = CrashChecker::new(&out)
+                .check_image(image.clone())
+                .unwrap_err();
+            assert_eq!(err.inconsistency().expect("a violation").addr, words[2]);
         }
     }
 

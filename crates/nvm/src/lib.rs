@@ -18,7 +18,8 @@
 //! * [`recovery`] implements undo-log recovery over a reconstructed NVM
 //!   image;
 //! * [`crash`] replays a simulation's persist trace to an arbitrary crash
-//!   instant, runs recovery, and checks failure atomicity against the
+//!   instant (or sweeps every distinct one in a single pass), runs
+//!   recovery, and checks failure atomicity against the
 //!   transaction record — the test that separates the crash-safe
 //!   configurations (B, IQ, WB) from the unsafe ones (SU, U);
 //! * [`triage`] hardens recovery against *at-rest corruption*: a scrub

@@ -29,6 +29,9 @@
 //! format time, which distinguishes a wiped-to-zero header from
 //! genuinely fresh media.
 
+use crate::layout::Layout;
+use crate::recovery::NvmImage;
+
 /// Byte offset of the target-address field.
 pub const OFF_ADDR: u64 = 0;
 /// Byte offset of the original-value field.
@@ -210,6 +213,23 @@ pub fn decode_entry(slot: u64, read: impl Fn(u64) -> u64) -> Option<LogEntry> {
     }
 }
 
+/// The base addresses of the log slots that have at least one word in
+/// `image`, in ascending slot order — the only slots [`decode_entry`]
+/// can accept, since a slot with no word present reads as all zero and
+/// a zero transaction id never decodes. Recovery visits these instead
+/// of scanning all `layout.log_slots` slots.
+pub fn present_slots(image: &NvmImage, layout: &Layout) -> Vec<u64> {
+    let end = layout.log_base + layout.log_slots * 64;
+    let mut slots: Vec<u64> = image
+        .keys()
+        .filter(|&&a| a >= layout.log_base && a < end)
+        .map(|&a| a - (a - layout.log_base) % 64)
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +333,28 @@ mod tests {
         // The magic constant must never masquerade as a committed id.
         assert_eq!(classify_marker(MAGIC), MarkerCopy::Corrupt);
         assert_eq!(decode_header(MAGIC), 0);
+    }
+
+    #[test]
+    fn present_slots_are_ascending_and_bounded() {
+        let layout = Layout::standard();
+        let mut image = NvmImage::new();
+        image.insert(layout.slot_addr(7) + OFF_CSUM, 1);
+        image.insert(layout.slot_addr(2) + OFF_ADDR, 1);
+        image.insert(layout.slot_addr(2) + OFF_TXID, 1);
+        image.insert(layout.slot_addr(layout.log_slots - 1) + 56, 1);
+        // Header lines and heap words are not slots.
+        image.insert(layout.log_header, 1);
+        image.insert(layout.log_header_twin, 1);
+        image.insert(layout.heap_base, 1);
+        assert_eq!(
+            present_slots(&image, &layout),
+            vec![
+                layout.slot_addr(2),
+                layout.slot_addr(7),
+                layout.slot_addr(layout.log_slots - 1)
+            ]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Undo-log recovery.
 
 use crate::layout::Layout;
-use crate::log::{decode_entry, resolve_marker, LogEntry};
+use crate::log::{decode_entry, present_slots, resolve_marker, LogEntry};
 use std::collections::HashMap;
 
 /// A reconstructed NVM image: 8-byte word address → value; absent words
@@ -19,6 +19,11 @@ pub struct RecoveryResult {
 
 /// Runs undo recovery over a crash image, restoring every location
 /// written by uncommitted transactions to its pre-transaction value.
+///
+/// Recovery reads only the log region, `[log_header, heap_base)`, and
+/// visits only the slots with a word present ([`present_slots`]); the
+/// result equals a scan of every slot. [`recovery_trace`] still models
+/// that full scan, since it is what recovery costs on real media.
 ///
 /// Valid entries (checksum match) with a transaction id newer than the
 /// header's committed id are applied newest-transaction-first, so when an
@@ -60,12 +65,9 @@ pub struct RecoveryResult {
 pub fn recover(image: &mut NvmImage, layout: &Layout) -> RecoveryResult {
     let rd = |a: u64| image.get(&a).copied().unwrap_or(0);
     let committed = resolve_marker(rd(layout.log_header), rd(layout.log_header_twin));
-    let mut entries: Vec<LogEntry> = (0..layout.log_slots)
-        .filter_map(|i| {
-            decode_entry(layout.slot_addr(i), |w| {
-                image.get(&w).copied().unwrap_or(0)
-            })
-        })
+    let mut entries: Vec<LogEntry> = present_slots(image, layout)
+        .into_iter()
+        .filter_map(|slot| decode_entry(slot, rd))
         .filter(|e| e.txid > committed)
         .collect();
     // Newest transaction first: later pre-images are overwritten by

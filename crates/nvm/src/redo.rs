@@ -30,7 +30,8 @@ use crate::codegen::{TxOutput, TxRecord};
 use crate::heap::BumpHeap;
 use crate::layout::Layout;
 use crate::log::{
-    checksum, decode_entry, header_word, resolve_marker, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID,
+    checksum, decode_entry, header_word, present_slots, resolve_marker, MAGIC, OFF_ADDR, OFF_MAGIC,
+    OFF_TXID,
 };
 use crate::memory::SimMemory;
 use crate::recovery::{NvmImage, RecoveryResult};
@@ -42,6 +43,8 @@ use std::collections::HashMap;
 pub const OFF_APPLIED: u64 = 8;
 
 /// Redo-log recovery: replay committed-but-unapplied transactions.
+/// Like undo [`recover`](crate::recovery::recover), it reads only the
+/// log region and visits only the slots with a word present.
 ///
 /// Both the *committed* and *applied* markers are self-validating
 /// [`header_word`]s, stored twice (primary header line and twin), and
@@ -80,12 +83,9 @@ pub fn recover_redo(image: &mut NvmImage, layout: &Layout) -> RecoveryResult {
         rd(layout.log_header + OFF_APPLIED),
         rd(layout.log_header_twin + OFF_APPLIED),
     );
-    let mut entries: Vec<crate::log::LogEntry> = (0..layout.log_slots)
-        .filter_map(|i| {
-            decode_entry(layout.slot_addr(i), |w| {
-                image.get(&w).copied().unwrap_or(0)
-            })
-        })
+    let mut entries: Vec<crate::log::LogEntry> = present_slots(image, layout)
+        .into_iter()
+        .filter_map(|slot| decode_entry(slot, rd))
         .filter(|e| e.txid > applied && e.txid <= committed)
         .collect();
     // Oldest transaction first: later transactions' values win.
