@@ -899,7 +899,7 @@ pub fn corrupt_campaign(opts: &CorruptOptions) -> Result<CorruptReport, ResumeEr
     }
     let pool = Pool::new(opts.jobs);
     let outcomes = pool.run_quarantined(cells.len(), |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
+        if !driver.admit(i as u64) {
             return None;
         }
         if opts.self_test_panic == Some(i as u32) {

@@ -308,10 +308,7 @@ pub fn fuzz_campaign(opts: &FuzzOptions) -> Result<FuzzReport, ResumeError> {
     );
     let outcomes = pool.run_quarantined(opts.cases as usize, |i| {
         let case = i as u32;
-        if driver.is_done(u64::from(case)) || driver.interrupted() {
-            return;
-        }
-        if earliest.load(Ordering::Relaxed) < case {
+        if earliest.load(Ordering::Relaxed) < case || !driver.admit(u64::from(case)) {
             return;
         }
         // The per-case seed is the master stream fast-forwarded to the

@@ -701,7 +701,7 @@ pub fn inject_campaign(opts: &InjectOptions) -> Result<InjectReport, ResumeError
     }
     let pool = Pool::new(opts.jobs);
     let outcomes = pool.run_quarantined(cells.len(), |i| {
-        if driver.is_done(i as u64) || driver.interrupted() {
+        if !driver.admit(i as u64) {
             return None;
         }
         if opts.self_test_panic == Some(i as u32) {

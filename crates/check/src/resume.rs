@@ -578,6 +578,9 @@ struct DriverState {
     done: Vec<u64>,
     completed: u64,
     fresh: u64,
+    /// Units admitted this session (counted only under the
+    /// `stop_after_units` hook).
+    started: u64,
     earliest_failure: Option<u64>,
     quarantined: BTreeMap<u64, String>,
     payloads: BTreeMap<u64, String>,
@@ -630,6 +633,7 @@ impl CampaignDriver {
             done: vec![0; words_for(total_units)],
             completed: 0,
             fresh: 0,
+            started: 0,
             earliest_failure: None,
             quarantined: BTreeMap::new(),
             payloads: BTreeMap::new(),
@@ -696,6 +700,29 @@ impl CampaignDriver {
     /// units and skip everything not yet started.
     pub fn interrupted(&self) -> bool {
         self.deadline.tripped()
+    }
+
+    /// Whether a worker may start `unit` now: it has not completed, the
+    /// deadline has not tripped, and under the `stop_after_units` hook
+    /// fewer than that many units were started this session. Budgeting
+    /// starts, not completions, keeps the hook's interrupt point
+    /// independent of worker timing: otherwise units that other workers
+    /// started before the last budgeted one completed would finish too,
+    /// and a fast enough pool could finish the whole campaign.
+    pub fn admit(&self, unit: u64) -> bool {
+        let mut st = self.lock();
+        let (w, bit) = ((unit / 64) as usize, 1u64 << (unit % 64));
+        if st.done[w] & bit != 0 || self.deadline.tripped() {
+            return false;
+        }
+        if let Some(budget) = self.stop_after {
+            if st.started >= budget {
+                self.deadline.trip();
+                return false;
+            }
+            st.started += 1;
+        }
+        true
     }
 
     /// Whether `unit` already completed (this run or a resumed one).
@@ -911,6 +938,26 @@ mod tests {
         assert!(!driver.interrupted());
         driver.complete(1, None);
         assert!(driver.interrupted());
+        let end = driver.finish().expect("finish");
+        assert!(end.interrupted);
+        assert_eq!(end.completed, 2);
+    }
+
+    #[test]
+    fn driver_stop_after_budgets_unit_starts() {
+        // Three workers ask to start units before any completes: only the
+        // budgeted two may start, so the interrupt point cannot depend on
+        // which worker finishes first.
+        let runtime = RuntimeOptions {
+            stop_after_units: Some(2),
+            ..RuntimeOptions::default()
+        };
+        let driver = CampaignDriver::new("fuzz", "fp".to_string(), 0, 10, &runtime).expect("new");
+        assert!(driver.admit(0));
+        assert!(driver.admit(1));
+        assert!(!driver.admit(2));
+        driver.complete(0, None);
+        driver.complete(1, None);
         let end = driver.finish().expect("finish");
         assert!(end.interrupted);
         assert_eq!(end.completed, 2);

@@ -97,12 +97,14 @@ impl ConsumedDeps {
         self.src1.is_none() && self.src2.is_none()
     }
 
-    /// The dependence sources, oldest first.
-    pub fn sources(&self) -> Vec<InstId> {
-        let mut v: Vec<InstId> = [self.src1, self.src2].into_iter().flatten().collect();
-        v.sort();
-        v.dedup();
-        v
+    /// The distinct dependence sources, oldest first.
+    pub fn sources(&self) -> impl Iterator<Item = InstId> {
+        let (first, second) = match (self.src1, self.src2) {
+            (Some(a), Some(b)) if b < a => (Some(b), Some(a)),
+            (Some(a), Some(b)) if a == b => (Some(a), None),
+            pair => pair,
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -393,7 +395,7 @@ mod tests {
         edm.decode(&producer(k(2)), InstId(3)); // will be squashed
         edm.squash();
         let deps = edm.decode(&consumer(k(2)), InstId(4));
-        assert_eq!(deps.sources(), vec![InstId(0)]);
+        assert_eq!(deps.sources().collect::<Vec<_>>(), vec![InstId(0)]);
     }
 
     #[test]
@@ -403,10 +405,13 @@ mod tests {
         edm.decode(&producer(k(2)), InstId(1));
         let join = Inst::with_edks(Op::Join { use2: k(2) }, EdkPair::new(k(3), k(1)));
         let deps = edm.decode(&join, InstId(2));
-        assert_eq!(deps.sources(), vec![InstId(0), InstId(1)]);
+        assert_eq!(
+            deps.sources().collect::<Vec<_>>(),
+            vec![InstId(0), InstId(1)]
+        );
         // JOIN is itself a producer of key 3.
         let deps2 = edm.decode(&consumer(k(3)), InstId(3));
-        assert_eq!(deps2.sources(), vec![InstId(2)]);
+        assert_eq!(deps2.sources().collect::<Vec<_>>(), vec![InstId(2)]);
     }
 
     #[test]
@@ -415,10 +420,10 @@ mod tests {
         edm.decode(&producer(k(4)), InstId(0));
         let w = Inst::plain(Op::WaitKey { key: k(4) });
         let deps = edm.decode(&w, InstId(1));
-        assert_eq!(deps.sources(), vec![InstId(0)]);
+        assert_eq!(deps.sources().collect::<Vec<_>>(), vec![InstId(0)]);
         // Later consumers now link to the WAIT_KEY.
         let deps2 = edm.decode(&consumer(k(4)), InstId(2));
-        assert_eq!(deps2.sources(), vec![InstId(1)]);
+        assert_eq!(deps2.sources().collect::<Vec<_>>(), vec![InstId(1)]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Ordered tracking of incomplete EDE instructions.
 
 use ede_isa::{Edk, Inst, InstId, Op, NUM_EDKS};
-use std::collections::BTreeSet;
 
 /// Tracks EDE instructions that have entered the enforcement window but
 /// not yet completed.
@@ -10,10 +9,11 @@ use std::collections::BTreeSet;
 /// incremented when an EDE instruction enters the write buffer and
 /// decremented when it completes; `WAIT_KEY` / `WAIT_ALL_KEYS` retire only
 /// when the matching counter reaches zero. This implementation keeps
-/// *ordered sets* of instruction IDs instead, which subsumes the counters
+/// *sorted lists* of instruction IDs instead, which subsumes the counters
 /// (`count`/`total` reproduce them) while also answering the
 /// program-order-aware question the IQ design needs: "is any instruction
-/// *older than me* still outstanding for this key?"
+/// *older than me* still outstanding for this key?" — the head of the
+/// list. A pipeline inserts in program order, so insertion appends.
 ///
 /// # Example
 ///
@@ -34,11 +34,36 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct InFlightEde {
-    /// Incomplete producers, per key. Index 0 (the zero key) stays empty.
-    producers: [BTreeSet<InstId>; NUM_EDKS],
+    /// Incomplete producers, per key, oldest first. Index 0 (the zero
+    /// key) stays empty.
+    producers: [Vec<InstId>; NUM_EDKS],
     /// All incomplete EDE instructions (producers *and* consumers), for
-    /// `WAIT_ALL_KEYS`.
-    all: BTreeSet<InstId>,
+    /// `WAIT_ALL_KEYS`, oldest first.
+    all: Vec<InstId>,
+}
+
+/// Inserts `id` into a sorted list (appending in the common case).
+fn insert_sorted(list: &mut Vec<InstId>, id: InstId) {
+    match list.last() {
+        Some(&last) if last >= id => {
+            if let Err(pos) = list.binary_search(&id) {
+                list.insert(pos, id);
+            }
+        }
+        _ => list.push(id),
+    }
+}
+
+/// Removes `id` from a sorted list, if present.
+fn remove_sorted(list: &mut Vec<InstId>, id: InstId) {
+    if let Ok(pos) = list.binary_search(&id) {
+        list.remove(pos);
+    }
+}
+
+/// Whether a sorted list holds an id older than `id`.
+fn any_before(list: &[InstId], id: InstId) -> bool {
+    list.first().is_some_and(|&first| first < id)
 }
 
 impl InFlightEde {
@@ -65,9 +90,9 @@ impl InFlightEde {
         }
         let key = Self::produced_key(inst);
         if !key.is_zero() {
-            self.producers[key.index() as usize].insert(id);
+            insert_sorted(&mut self.producers[key.index() as usize], id);
         }
-        self.all.insert(id);
+        insert_sorted(&mut self.all, id);
     }
 
     /// Marks an EDE instruction complete, removing it from all sets.
@@ -77,18 +102,18 @@ impl InFlightEde {
         }
         let key = Self::produced_key(inst);
         if !key.is_zero() {
-            self.producers[key.index() as usize].remove(&id);
+            remove_sorted(&mut self.producers[key.index() as usize], id);
         }
-        self.all.remove(&id);
+        remove_sorted(&mut self.all, id);
     }
 
     /// Removes every tracked instruction younger than `id` (pipeline
     /// squash).
     pub fn squash_younger(&mut self, id: InstId) {
-        for set in &mut self.producers {
-            set.retain(|&e| e <= id);
+        for list in self.producers.iter_mut().chain([&mut self.all]) {
+            let keep = list.partition_point(|&e| e <= id);
+            list.truncate(keep);
         }
-        self.all.retain(|&e| e <= id);
     }
 
     /// Whether any incomplete producer of `key` is older than `id`.
@@ -97,19 +122,13 @@ impl InFlightEde {
     /// complete once all prior dependence producers of the matching key
     /// have also finished" (§IV-B2).
     pub fn has_producer_before(&self, key: Edk, id: InstId) -> bool {
-        if key.is_zero() {
-            return false;
-        }
-        self.producers[key.index() as usize]
-            .range(..id)
-            .next()
-            .is_some()
+        !key.is_zero() && any_before(&self.producers[key.index() as usize], id)
     }
 
     /// Whether any incomplete EDE instruction (producer or consumer) is
     /// older than `id` — the `WAIT_ALL_KEYS` completion condition.
     pub fn has_any_before(&self, id: InstId) -> bool {
-        self.all.range(..id).next().is_some()
+        any_before(&self.all, id)
     }
 
     /// The per-key counter of the WB design: number of outstanding

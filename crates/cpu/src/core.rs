@@ -6,13 +6,14 @@ use crate::ptrace::{PipeEvent, PipeObserver, PipeStage};
 use crate::stats::IssueHistogram;
 use crate::trace::{StageId, StallCause, StallTable, Tracer};
 use crate::wb::{WbKind, WriteBuffer};
+use crate::window::Incomplete;
 use ede_core::ordering::InstTiming;
 use ede_core::{EnforcementPoint, InFlightEde, SpeculativeEdm};
-use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program, Reg};
-use ede_mem::{ReqId, ReqKind};
+use ede_isa::{Edk, Inst, InstId, InstKind, Op, Program};
+use ede_mem::{MemResp, ReqId, ReqKind};
 use ede_util::obs::Log2Histogram;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Cycles in which dispatch made no progress, by cause (diagnostics).
@@ -239,14 +240,48 @@ enum State {
     Complete,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+/// A compact optional [`InstId`] for the per-slot producer links (the
+/// trace length is checked to fit at construction).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Link(u32);
+
+impl Link {
+    const NONE: Link = Link(u32::MAX);
+
+    fn to(id: InstId) -> Link {
+        Link(id.0 as u32)
+    }
+
+    fn get(self) -> Option<InstId> {
+        (self != Link::NONE).then_some(InstId(u64::from(self.0)))
+    }
+}
+
+/// Per-instruction pipeline state, indexed by [`InstId`].
+#[derive(Clone, Copy, Debug)]
 struct Slot {
     epoch: u32,
     state: State,
-    pending_regs: u8,
-    edep_pending: u8,
-    edep_srcs: [Option<InstId>; 2],
-    timing: InstTiming,
+    /// Whether the execution-dependence sources hold issue (every
+    /// consumer under IQ enforcement, loads under WB).
+    edep_at_issue: bool,
+    /// Producers of the source registers that had not executed at
+    /// dispatch; the instruction may issue once all have.
+    reg_srcs: [Link; 3],
+    /// Execution-dependence sources found incomplete at dispatch.
+    edep_srcs: [Link; 2],
+}
+
+impl Default for Slot {
+    fn default() -> Slot {
+        Slot {
+            epoch: 0,
+            state: State::NotDispatched,
+            edep_at_issue: false,
+            reg_srcs: [Link::NONE; 3],
+            edep_srcs: [Link::NONE; 2],
+        }
+    }
 }
 
 /// The simulated core.
@@ -270,23 +305,31 @@ pub struct Core<M> {
     sq_used: usize,
     wbuf: WriteBuffer,
 
+    /// One slot per instruction ever dispatched: the longest dispatched
+    /// prefix so far (a slot is appended at its first dispatch).
     slots: Vec<Slot>,
-    scoreboard: HashMap<Reg, InstId>,
-    reg_waiters: HashMap<InstId, Vec<(InstId, u32)>>,
-    edep_waiters: HashMap<InstId, Vec<(InstId, u32)>>,
+    /// Per-instruction observed timing (what `RunStats::timings` reports).
+    timings: Vec<InstTiming>,
+    /// The youngest dispatched writer of each register.
+    scoreboard: [Option<InstId>; 32],
 
     edm: SpeculativeEdm,
     tracker: InFlightEde,
-    incomplete: BTreeSet<InstId>,
-    incomplete_mem: BTreeSet<InstId>,
-    incomplete_stores: BTreeSet<InstId>,
-    live_dmbs: BTreeSet<InstId>,
-    live_stbars: BTreeSet<InstId>,
-    live_wait_alls: BTreeSet<InstId>,
+    incomplete: Incomplete,
+    /// Incomplete `DMB SY`s, `DMB ST`s and `WAIT_ALL_KEYS`, oldest first
+    /// (dispatch appends the youngest, so each list stays sorted).
+    live_dmbs: Vec<InstId>,
+    live_stbars: Vec<InstId>,
+    live_wait_alls: Vec<InstId>,
     dispatch_block: Option<InstId>,
 
-    store_map: HashMap<u64, Vec<InstId>>,
-    req_map: HashMap<ReqId, (InstId, u32)>,
+    /// Incomplete stores as `(address, store)`, oldest first; an `STP`
+    /// appears once per word.
+    inflight_stores: Vec<(u64, InstId)>,
+    /// Outstanding memory requests: `(request, instruction, epoch)`.
+    requests: Vec<(ReqId, InstId, u32)>,
+    /// Memory responses of the current cycle (reused buffer).
+    responses: Vec<MemResp>,
     /// Per-branch EDM checkpoints (only with `edm_branch_checkpoints`).
     edm_checkpoints: Vec<(InstId, ede_core::Edm)>,
     fu_done: BinaryHeap<Reverse<(u64, u64, u32)>>, // (cycle, id, epoch)
@@ -322,8 +365,13 @@ pub struct Core<M> {
 
 impl<M: MemPort> Core<M> {
     /// Builds a core over `program` and `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has `u32::MAX` or more instructions.
     pub fn new(cfg: CpuConfig, program: Program, mem: M) -> Core<M> {
         let n = program.len();
+        assert!(n < u32::MAX as usize, "trace too long: {n} instructions");
         let issue_width = cfg.issue_width;
         let wb_entries = cfg.wb_entries;
         let mut wbuf = WriteBuffer::new(wb_entries);
@@ -343,21 +391,19 @@ impl<M: MemPort> Core<M> {
             lq_used: 0,
             sq_used: 0,
             wbuf,
-            slots: vec![Slot::default(); n],
-            scoreboard: HashMap::new(),
-            reg_waiters: HashMap::new(),
-            edep_waiters: HashMap::new(),
+            slots: Vec::with_capacity(n),
+            timings: vec![InstTiming::default(); n],
+            scoreboard: [None; 32],
             edm: SpeculativeEdm::new(),
             tracker: InFlightEde::new(),
-            incomplete: BTreeSet::new(),
-            incomplete_mem: BTreeSet::new(),
-            incomplete_stores: BTreeSet::new(),
-            live_dmbs: BTreeSet::new(),
-            live_stbars: BTreeSet::new(),
-            live_wait_alls: BTreeSet::new(),
+            incomplete: Incomplete::new(n),
+            live_dmbs: Vec::new(),
+            live_stbars: Vec::new(),
+            live_wait_alls: Vec::new(),
             dispatch_block: None,
-            store_map: HashMap::new(),
-            req_map: HashMap::new(),
+            inflight_stores: Vec::new(),
+            requests: Vec::new(),
+            responses: Vec::new(),
             edm_checkpoints: Vec::new(),
             fu_done: BinaryHeap::new(),
             issue_hist: IssueHistogram::new(issue_width),
@@ -404,8 +450,8 @@ impl<M: MemPort> Core<M> {
             let (stage, cause) = match inst.op {
                 Op::DsbSy if executed => (
                     "retire",
-                    match self.incomplete.range(..id).next() {
-                        Some(&w) => WaitCause::OlderIncomplete(w),
+                    match self.incomplete.oldest_before(id) {
+                        Some(w) => WaitCause::OlderIncomplete(w),
                         None => WaitCause::Unknown,
                     },
                 ),
@@ -426,16 +472,16 @@ impl<M: MemPort> Core<M> {
                         "issue",
                         slot.edep_srcs
                             .iter()
-                            .flatten()
-                            .find(|s| self.incomplete.contains(s))
-                            .map(|&s| WaitCause::Producer(s))
+                            .filter_map(|l| l.get())
+                            .find(|&s| self.incomplete.contains(s))
+                            .map(WaitCause::Producer)
                             .unwrap_or(WaitCause::Unknown),
                     ),
                     _ => ("retire", WaitCause::Unknown),
                 },
             };
             (Some(id), op_name(&inst.op), stage, cause)
-        } else if let Some(&id) = self.incomplete.first() {
+        } else if let Some(id) = self.incomplete.oldest() {
             // Nothing left in the ROB: the hang is a retired entry that
             // never completed — a write-buffer resident blocked on a
             // source tag, or one whose memory response never arrived.
@@ -664,7 +710,7 @@ impl<M: MemPort> Core<M> {
             cycles: self.now,
             retired: self.retired,
             issue_hist: self.issue_hist.clone(),
-            timings: self.slots.iter().map(|s| s.timing).collect(),
+            timings: self.timings.clone(),
             squashes: self.squashes,
             stalls: StallStats {
                 dsb: d.cause(StallCause::DsbDispatch),
@@ -754,89 +800,60 @@ impl<M: MemPort> Core<M> {
     // ---- completion plumbing --------------------------------------------
 
     fn complete_inst(&mut self, id: InstId) {
+        let now = self.now;
         let slot = &mut self.slots[id.index()];
         if slot.state == State::Complete {
             return;
         }
         self.moved = true;
-        let slot = &mut self.slots[id.index()];
         slot.state = State::Complete;
-        slot.timing.complete = self.now;
+        self.timings[id.index()].complete = now;
+        let inst = &self.program[id];
         // Control instructions and fences have no observable effect other
         // than the ordering they impose, which binds at completion: under
         // WB enforcement they execute early but take effect at the write
         // buffer / retire.
         if matches!(
-            self.program[id].kind(),
+            inst.kind(),
             InstKind::EdeControl | InstKind::FenceFull | InstKind::FenceStore | InstKind::FenceMem
         ) {
-            self.slots[id.index()].timing.effect = self.now;
+            self.timings[id.index()].effect = now;
         }
-        self.emit(id, PipeStage::Complete);
-        self.incomplete.remove(&id);
-        self.incomplete_mem.remove(&id);
-
-        let inst = self.program[id].clone();
-        self.edm.complete(id);
-        self.tracker.complete(&inst, id);
-        self.wbuf.clear_src(id);
-
+        self.incomplete.complete(id);
+        // Only EDE instructions are ever bound in the EDM, tracked, or
+        // named by a write-buffer srcID tag.
+        if inst.is_ede() {
+            self.edm.complete(id);
+            self.tracker.complete(inst, id);
+            self.wbuf.clear_src(id);
+        }
         match inst.op {
-            Op::Str { addr, .. } => self.unmap_store(addr, id),
-            Op::Stp { addr, .. } => {
-                self.unmap_store(addr, id);
-                self.unmap_store(addr + 8, id);
-            }
-            Op::DmbSy => {
-                self.live_dmbs.remove(&id);
-            }
-            Op::DmbSt => {
-                self.live_stbars.remove(&id);
-            }
-            Op::WaitAllKeys => {
-                self.live_wait_alls.remove(&id);
-            }
+            Op::Str { .. } | Op::Stp { .. } => self.inflight_stores.retain(|&(_, s)| s != id),
+            Op::DmbSy => remove_live(&mut self.live_dmbs, id),
+            Op::DmbSt => remove_live(&mut self.live_stbars, id),
+            Op::WaitAllKeys => remove_live(&mut self.live_wait_alls, id),
             _ => {}
         }
-        if matches!(inst.kind(), InstKind::Store) {
-            self.incomplete_stores.remove(&id);
-        }
-
-        // Wake IQ-mode execution-dependence waiters.
-        if let Some(waiters) = self.edep_waiters.remove(&id) {
-            for (w, epoch) in waiters {
-                let ws = &mut self.slots[w.index()];
-                if ws.epoch == epoch && ws.edep_pending > 0 {
-                    ws.edep_pending -= 1;
-                }
-            }
-        }
-    }
-
-    fn unmap_store(&mut self, addr: u64, id: InstId) {
-        if let Some(v) = self.store_map.get_mut(&addr) {
-            v.retain(|&s| s != id);
-            if v.is_empty() {
-                self.store_map.remove(&addr);
-            }
-        }
+        self.emit(id, PipeStage::Complete);
     }
 
     fn handle_mem_responses(&mut self) {
-        let resps = self.mem.tick(self.now);
+        let mut resps = std::mem::take(&mut self.responses);
+        self.mem.tick_into(self.now, &mut resps);
         if !resps.is_empty() {
-            // Even an all-stale batch changed `req_map`, so count it as
-            // activity (conservative for the fast-forward kernel).
+            // Even an all-stale batch changed the request table, so count
+            // it as activity (conservative for the fast-forward kernel).
             self.moved = true;
         }
-        for resp in resps {
-            let Some((id, epoch)) = self.req_map.remove(&resp.id) else {
+        for resp in resps.drain(..) {
+            let Some(pos) = self.requests.iter().position(|r| r.0 == resp.id) else {
                 continue;
             };
+            let (_, id, epoch) = self.requests.swap_remove(pos);
             if self.slots[id.index()].epoch != epoch {
                 continue; // stale response for a squashed instruction
             }
-            match self.inst(id).kind() {
+            match self.program[id].kind() {
                 InstKind::Load => {
                     self.mark_executed(id);
                     self.complete_inst(id);
@@ -848,28 +865,25 @@ impl<M: MemPort> Core<M> {
                 _ => unreachable!("only memory ops have requests"),
             }
         }
+        self.responses = resps;
     }
 
+    /// Marks `id` executed. Its register consumers observe this through
+    /// their `reg_srcs` links; nothing is woken explicitly.
     fn mark_executed(&mut self, id: InstId) {
         let slot = &mut self.slots[id.index()];
         if slot.state >= State::Executed {
             return;
         }
         self.moved = true;
-        let slot = &mut self.slots[id.index()];
         slot.state = State::Executed;
         self.emit(id, PipeStage::Executed);
-        if let Some(waiters) = self.reg_waiters.remove(&id) {
-            for (w, epoch) in waiters {
-                let ws = &mut self.slots[w.index()];
-                if ws.epoch == epoch && ws.pending_regs > 0 {
-                    ws.pending_regs -= 1;
-                }
-            }
-        }
     }
 
     fn handle_fu_completions(&mut self) {
+        // Hardware without the WB structures — including non-EDE hardware
+        // running EDE code — enforces conservatively at the issue queue.
+        let iq_mode = self.cfg.enforcement != Some(EnforcementPoint::WriteBuffer);
         while let Some(&Reverse((cycle, raw, epoch))) = self.fu_done.peek() {
             if cycle > self.now {
                 break;
@@ -883,14 +897,9 @@ impl<M: MemPort> Core<M> {
                 continue;
             }
             self.mark_executed(id);
-            let inst = self.inst(id).clone();
-            // Hardware without the WB structures — including non-EDE
-            // hardware running EDE code — enforces conservatively at the
-            // issue queue.
-            let iq_mode = self.cfg.enforcement != Some(EnforcementPoint::WriteBuffer);
-            match inst.op {
+            match self.program[id].op {
                 Op::Mov { .. } | Op::Add { .. } | Op::Cmp { .. } | Op::Nop => {
-                    self.slots[id.index()].timing.effect = self.now;
+                    self.timings[id.index()].effect = self.now;
                     self.complete_inst(id);
                 }
                 Op::Ldr { .. } => {
@@ -898,7 +907,7 @@ impl<M: MemPort> Core<M> {
                     self.complete_inst(id);
                 }
                 Op::Branch { mispredicted } => {
-                    self.slots[id.index()].timing.effect = self.now;
+                    self.timings[id.index()].effect = self.now;
                     self.complete_inst(id);
                     if mispredicted {
                         self.squash(id);
@@ -911,14 +920,14 @@ impl<M: MemPort> Core<M> {
                     // the control instruction completes at writeback; under
                     // WB enforcement completion happens later (write
                     // buffer / retire).
-                    self.slots[id.index()].timing.effect = self.now;
+                    self.timings[id.index()].effect = self.now;
                     if iq_mode || self.cfg.enforcement.is_none() {
                         self.complete_inst(id);
                     }
                 }
                 Op::DmbSy | Op::DmbSt | Op::DsbSy => {
                     // Fences complete via their own conditions.
-                    self.slots[id.index()].timing.effect = self.now;
+                    self.timings[id.index()].effect = self.now;
                 }
                 Op::Str { .. } | Op::Stp { .. } | Op::DcCvap { .. } => {
                     // Stores/writebacks complete when drained/acked.
@@ -928,30 +937,24 @@ impl<M: MemPort> Core<M> {
     }
 
     fn check_dmb_sy(&mut self) {
-        let ready: Vec<InstId> = self
-            .live_dmbs
-            .iter()
-            .copied()
-            .filter(|&d| {
-                self.slots[d.index()].state >= State::Executed
-                    && self.incomplete_mem.range(..d).next().is_none()
-            })
-            .collect();
-        for d in ready {
-            self.complete_inst(d);
+        // Completing a fence removes it from its list and changes no other
+        // fence's condition, so each list is scanned once in place.
+        let mut i = 0;
+        while let Some(&d) = self.live_dmbs.get(i) {
+            if self.slots[d.index()].state >= State::Executed && !self.incomplete.mem_before(d) {
+                self.complete_inst(d);
+            } else {
+                i += 1;
+            }
         }
         // DMB ST completes when every older store is globally visible.
-        let ready: Vec<InstId> = self
-            .live_stbars
-            .iter()
-            .copied()
-            .filter(|&d| {
-                self.slots[d.index()].state >= State::Executed
-                    && self.incomplete_stores.range(..d).next().is_none()
-            })
-            .collect();
-        for d in ready {
-            self.complete_inst(d);
+        let mut i = 0;
+        while let Some(&d) = self.live_stbars.get(i) {
+            if self.slots[d.index()].state >= State::Executed && !self.incomplete.store_before(d) {
+                self.complete_inst(d);
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -979,7 +982,25 @@ impl<M: MemPort> Core<M> {
                 });
                 break;
             }
-            let inst = self.inst(id).clone();
+            let inst = &self.program[id];
+            let kind = inst.kind();
+            // The write-buffer entry a retiring store, writeback or (under
+            // WB enforcement) JOIN deposits.
+            let deposit = match inst.op {
+                Op::Str { addr, value, .. } => Some(WbKind::Store {
+                    addr,
+                    width: 8,
+                    value: [value, 0],
+                }),
+                Op::Stp { addr, values, .. } => Some(WbKind::Store {
+                    addr,
+                    width: 16,
+                    value: values,
+                }),
+                Op::DcCvap { addr, .. } => Some(WbKind::Cvap { addr }),
+                Op::Join { .. } if wb_mode => Some(WbKind::Join),
+                _ => None,
+            };
             match inst.op {
                 Op::DsbSy => {
                     // All older instructions must have completed,
@@ -987,13 +1008,13 @@ impl<M: MemPort> Core<M> {
                     // (WeakDsb fault: retire without waiting — the
                     // conformance checker must flag the resulting runs.)
                     if self.cfg.fault != Some(FaultInjection::WeakDsb)
-                        && self.incomplete.range(..id).next().is_some()
+                        && self.incomplete.oldest_before(id).is_some()
                     {
                         block = Some(StallCause::DsbDrain);
                         break;
                     }
                     self.rob.pop_front();
-                    self.retire_edm(&inst, id);
+                    self.retire_edm(id);
                     self.complete_inst(id);
                     if self.dispatch_block == Some(id) {
                         self.dispatch_block = None;
@@ -1005,7 +1026,7 @@ impl<M: MemPort> Core<M> {
                         break;
                     }
                     self.rob.pop_front();
-                    self.retire_edm(&inst, id);
+                    self.retire_edm(id);
                     self.complete_inst(id);
                 }
                 Op::WaitAllKeys if wb_mode => {
@@ -1014,83 +1035,36 @@ impl<M: MemPort> Core<M> {
                         break;
                     }
                     self.rob.pop_front();
-                    self.retire_edm(&inst, id);
+                    self.retire_edm(id);
                     self.complete_inst(id);
                 }
-                Op::Str { addr, value, .. } => {
-                    if !self.wbuf.has_space() {
-                        block = Some(StallCause::WbFull);
-                        break;
+                _ => match deposit {
+                    Some(entry) => {
+                        if !self.wbuf.has_space() {
+                            block = Some(StallCause::WbFull);
+                            break;
+                        }
+                        self.rob.pop_front();
+                        if kind != InstKind::EdeControl {
+                            self.sq_used -= 1;
+                        }
+                        self.retire_edm(id);
+                        let srcs = self.wb_srcs(id, wb_mode);
+                        self.wbuf.push(id, entry, srcs);
+                        self.slots[id.index()].state = State::Retired;
                     }
-                    self.rob.pop_front();
-                    self.sq_used -= 1;
-                    self.retire_edm(&inst, id);
-                    let srcs = self.wb_srcs(id, wb_mode);
-                    self.wbuf.push(
-                        id,
-                        WbKind::Store {
-                            addr,
-                            width: 8,
-                            value: [value, 0],
-                        },
-                        srcs,
-                    );
-                    self.slots[id.index()].state = State::Retired;
-                }
-                Op::Stp { addr, values, .. } => {
-                    if !self.wbuf.has_space() {
-                        block = Some(StallCause::WbFull);
-                        break;
+                    None => {
+                        self.rob.pop_front();
+                        self.retire_edm(id);
+                        if kind == InstKind::Load {
+                            self.lq_used -= 1;
+                        }
+                        let slot = &mut self.slots[id.index()];
+                        if slot.state < State::Retired {
+                            slot.state = State::Retired;
+                        }
                     }
-                    self.rob.pop_front();
-                    self.sq_used -= 1;
-                    self.retire_edm(&inst, id);
-                    let srcs = self.wb_srcs(id, wb_mode);
-                    self.wbuf.push(
-                        id,
-                        WbKind::Store {
-                            addr,
-                            width: 16,
-                            value: values,
-                        },
-                        srcs,
-                    );
-                    self.slots[id.index()].state = State::Retired;
-                }
-                Op::DcCvap { addr, .. } => {
-                    if !self.wbuf.has_space() {
-                        block = Some(StallCause::WbFull);
-                        break;
-                    }
-                    self.rob.pop_front();
-                    self.sq_used -= 1;
-                    self.retire_edm(&inst, id);
-                    let srcs = self.wb_srcs(id, wb_mode);
-                    self.wbuf.push(id, WbKind::Cvap { addr }, srcs);
-                    self.slots[id.index()].state = State::Retired;
-                }
-                Op::Join { .. } if wb_mode => {
-                    if !self.wbuf.has_space() {
-                        block = Some(StallCause::WbFull);
-                        break;
-                    }
-                    self.rob.pop_front();
-                    self.retire_edm(&inst, id);
-                    let srcs = self.wb_srcs(id, true);
-                    self.wbuf.push(id, WbKind::Join, srcs);
-                    self.slots[id.index()].state = State::Retired;
-                }
-                _ => {
-                    self.rob.pop_front();
-                    self.retire_edm(&inst, id);
-                    if inst.kind() == InstKind::Load {
-                        self.lq_used -= 1;
-                    }
-                    let slot = &mut self.slots[id.index()];
-                    if slot.state < State::Retired {
-                        slot.state = State::Retired;
-                    }
-                }
+                },
             }
             self.retired += 1;
             retired_now += 1;
@@ -1109,9 +1083,9 @@ impl<M: MemPort> Core<M> {
     /// non-speculative EDM — unless it already completed (a completed
     /// producer imposes no dependence, so resurrecting its binding would
     /// leave a stale entry behind a squash).
-    fn retire_edm(&mut self, inst: &Inst, id: InstId) {
+    fn retire_edm(&mut self, id: InstId) {
         if self.slots[id.index()].state < State::Complete {
-            self.edm.retire(inst, id);
+            self.edm.retire(&self.program[id], id);
         }
     }
 
@@ -1122,16 +1096,9 @@ impl<M: MemPort> Core<M> {
         if !wb_mode {
             return [None, None];
         }
-        let slot = &self.slots[id.index()];
-        let mut out = [None, None];
-        for (i, src) in slot.edep_srcs.iter().enumerate() {
-            if let Some(s) = src {
-                if self.incomplete.contains(s) {
-                    out[i] = Some(*s);
-                }
-            }
-        }
-        out
+        self.slots[id.index()]
+            .edep_srcs
+            .map(|l| l.get().filter(|&s| self.incomplete.contains(s)))
     }
 
     // ---- write buffer ----------------------------------------------------
@@ -1142,34 +1109,32 @@ impl<M: MemPort> Core<M> {
         }
         let line = 64;
         let mut drained = 0;
-        for id in self.wbuf.drainable(line) {
+        let mut from = 0;
+        // Starting a drain changes no other entry's eligibility, so one
+        // forward scan visits exactly the entries eligible at its start.
+        while let Some(i) = self.wbuf.next_drainable(from, line) {
             if drained >= self.cfg.wb_drain_per_cycle || !self.mem.can_accept() {
                 break;
             }
-            let entry = self
-                .wbuf
-                .entries()
-                .iter()
-                .find(|e| e.id == id)
-                .copied()
-                .expect("drainable entry exists");
+            let entry = self.wbuf.entries()[i];
             let (kind, addr) = match entry.kind {
                 WbKind::Store { addr, width, value } => {
                     (ReqKind::StoreDrain { value, width }, addr)
                 }
                 WbKind::Cvap { addr } => (ReqKind::Cvap, addr),
-                _ => continue,
+                WbKind::Join | WbKind::StBarrier => unreachable!("only memory entries drain"),
             };
             let Some(req) = self.mem.try_access(kind, addr, self.now) else {
                 break;
             };
+            let id = entry.id;
             self.wbuf.mark_draining(id);
-            self.req_map
-                .insert(req, (id, self.slots[id.index()].epoch));
-            self.slots[id.index()].timing.effect = self.now;
+            self.requests.push((req, id, self.slots[id.index()].epoch));
+            self.timings[id.index()].effect = self.now;
             self.emit(id, PipeStage::Drain);
             drained += 1;
             self.moved = true;
+            from = i + 1;
         }
     }
 
@@ -1181,25 +1146,29 @@ impl<M: MemPort> Core<M> {
         let iq_mode = self.cfg.enforcement != Some(EnforcementPoint::WriteBuffer);
         let mut issued = 0;
         let mut first_block = None;
-        let mut i = 0;
-        while i < self.iq.len() && issued < self.cfg.issue_width {
+        // Compacts the IQ in place: issued entries leave, the rest keep
+        // dispatch order.
+        let mut kept = 0;
+        for i in 0..self.iq.len() {
             let id = self.iq[i];
-            match self.try_issue(id, iq_mode) {
-                Ok(()) => {
-                    self.iq.remove(i);
-                    self.emit(id, PipeStage::Issue);
-                    issued += 1;
-                }
-                Err(cause) => {
-                    // The first failure is the oldest entry's: the IQ is
-                    // kept in dispatch order and issued entries leave it.
-                    if first_block.is_none() {
-                        first_block = Some(cause);
+            if issued < self.cfg.issue_width {
+                match self.try_issue(id, iq_mode) {
+                    Ok(()) => {
+                        self.emit(id, PipeStage::Issue);
+                        issued += 1;
+                        continue;
                     }
-                    i += 1;
+                    // The first failure is the oldest entry's: the IQ is
+                    // kept in dispatch order.
+                    Err(cause) => {
+                        first_block.get_or_insert(cause);
+                    }
                 }
             }
+            self.iq[kept] = id;
+            kept += 1;
         }
+        self.iq.truncate(kept);
         if issued > 0 {
             (issued, None)
         } else {
@@ -1207,19 +1176,38 @@ impl<M: MemPort> Core<M> {
         }
     }
 
+    /// Whether every source-register producer linked at dispatch has
+    /// executed.
+    fn regs_ready(&self, id: InstId) -> bool {
+        self.slots[id.index()].reg_srcs.iter().all(|l| {
+            l.get()
+                .is_none_or(|p| self.slots[p.index()].state >= State::Executed)
+        })
+    }
+
+    /// Whether an execution-dependence source that holds `id` at issue is
+    /// still incomplete.
+    fn edeps_pending(&self, id: InstId) -> bool {
+        let slot = &self.slots[id.index()];
+        slot.edep_at_issue
+            && slot
+                .edep_srcs
+                .iter()
+                .any(|l| l.get().is_some_and(|s| self.incomplete.contains(s)))
+    }
+
     /// Attempts to issue one instruction; `Ok` means it left the IQ, an
     /// error carries the cause that held it.
     fn try_issue(&mut self, id: InstId, iq_mode: bool) -> Result<(), StallCause> {
-        let slot = &self.slots[id.index()];
-        if slot.pending_regs > 0 || slot.state != State::InIq {
+        if self.slots[id.index()].state != State::InIq || !self.regs_ready(id) {
             return Err(StallCause::RegWait);
         }
-        let inst = self.inst(id).clone();
-        let kind = inst.kind();
+        let inst = &self.program[id];
         let drop_edeps = self.cfg.fault == Some(FaultInjection::DropEdeps);
+        let older_stbar = self.live_stbars.first().is_some_and(|&d| d < id);
 
         // DMB SY: younger memory operations wait at issue.
-        if Self::is_mem_op(kind) && self.live_dmbs.range(..id).next().is_some() {
+        if Self::is_mem_op(inst.kind()) && self.live_dmbs.first().is_some_and(|&d| d < id) {
             return Err(StallCause::Barrier);
         }
 
@@ -1228,30 +1216,28 @@ impl<M: MemPort> Core<M> {
                 // DMB ST is an LSQ barrier (gem5 semantics): younger
                 // memory instructions — loads included — wait until it
                 // completes. Only DC CVAP sails past it (SU's unsafety).
-                if self.live_stbars.range(..id).next().is_some() {
+                if older_stbar {
                     return Err(StallCause::Barrier);
                 }
                 // EDE consumer loads block at issue under both policies
                 // (the §VIII-C extension: loads have no write-buffer stage
                 // to defer to).
-                if slot.edep_pending > 0 {
+                if self.edeps_pending(id) {
                     return Err(StallCause::EdkWait);
                 }
                 // Store-to-load handling against in-flight stores.
-                if let Some(&producer) = self
-                    .store_map
-                    .get(&addr)
-                    .and_then(|v| v.iter().rev().find(|&&s| s < id))
+                if let Some(&(_, producer)) = self
+                    .inflight_stores
+                    .iter()
+                    .rev()
+                    .find(|&&(a, s)| a == addr && s < id)
                 {
                     if self.slots[producer.index()].state >= State::Executed {
                         // Forward from the store queue / write buffer.
-                        self.slots[id.index()].state = State::Executing;
-                        self.slots[id.index()].timing.effect = self.now;
-                        self.fu_done.push(Reverse((
-                            self.now + 2,
-                            id.0,
-                            self.slots[id.index()].epoch,
-                        )));
+                        let slot = &mut self.slots[id.index()];
+                        slot.state = State::Executing;
+                        self.timings[id.index()].effect = self.now;
+                        self.fu_done.push(Reverse((self.now + 2, id.0, slot.epoch)));
                         return Ok(());
                     }
                     return Err(StallCause::MemBusy); // store data not ready yet
@@ -1265,36 +1251,26 @@ impl<M: MemPort> Core<M> {
                     .expect("can_accept checked");
                 let slot = &mut self.slots[id.index()];
                 slot.state = State::WaitMem;
-                slot.timing.effect = self.now;
-                self.req_map.insert(req, (id, slot.epoch));
+                self.timings[id.index()].effect = self.now;
+                self.requests.push((req, id, slot.epoch));
                 Ok(())
             }
-            Op::Str { .. } | Op::Stp { .. } => {
+            Op::Str { .. } | Op::Stp { .. } | Op::DcCvap { .. } => {
                 // DMB ST: younger stores wait for older stores to become
-                // visible (the gem5 LSQ-barrier behavior; DC CVAP is *not*
-                // ordered — SU's unsafety).
-                if self.live_stbars.range(..id).next().is_some() {
+                // visible (the gem5 LSQ-barrier behavior). The barrier
+                // delays a younger CVAP's *issue* like any memory op, but
+                // never its persist completion — ordering of the persist
+                // itself is exactly what DMB ST lacks (SU's unsafety).
+                if older_stbar {
                     return Err(StallCause::Barrier);
                 }
-                if iq_mode && slot.edep_pending > 0 {
-                    return Err(StallCause::EdkWait);
-                }
-                self.execute_simple(id)
-            }
-            Op::DcCvap { .. } => {
-                // The LSQ barrier delays a younger CVAP's *issue* like any
-                // memory op, but never its persist completion — ordering
-                // of the persist itself is exactly what DMB ST lacks.
-                if self.live_stbars.range(..id).next().is_some() {
-                    return Err(StallCause::Barrier);
-                }
-                if iq_mode && slot.edep_pending > 0 {
+                if iq_mode && self.edeps_pending(id) {
                     return Err(StallCause::EdkWait);
                 }
                 self.execute_simple(id)
             }
             Op::Join { .. } => {
-                if iq_mode && slot.edep_pending > 0 {
+                if iq_mode && self.edeps_pending(id) {
                     return Err(StallCause::EdkWait);
                 }
                 self.execute_simple(id)
@@ -1318,8 +1294,7 @@ impl<M: MemPort> Core<M> {
     fn execute_simple(&mut self, id: InstId) -> Result<(), StallCause> {
         let slot = &mut self.slots[id.index()];
         slot.state = State::Executing;
-        self.fu_done
-            .push(Reverse((self.now + 1, id.0, slot.epoch)));
+        self.fu_done.push(Reverse((self.now + 1, id.0, slot.epoch)));
         Ok(())
     }
 
@@ -1329,9 +1304,15 @@ impl<M: MemPort> Core<M> {
     /// least one dispatched, else the [`StallCause`] that blocked the
     /// front of the fetch queue this cycle.
     fn dispatch_stage(&mut self) -> Option<StallCause> {
+        // Issue-time blocking on execution dependences applies under IQ
+        // for everything, and for loads under WB.
         let enforcement = self.cfg.enforcement;
+        let blocks_at_issue = |kind| match enforcement {
+            Some(EnforcementPoint::IssueQueue) | None => true,
+            Some(EnforcementPoint::WriteBuffer) => kind == InstKind::Load,
+        };
         let mut block = None;
-        for (dispatched, _) in (0..self.cfg.decode_width).enumerate() {
+        for dispatched in 0..self.cfg.decode_width {
             if self.dispatch_block.is_some() {
                 if dispatched == 0 {
                     block = Some(StallCause::DsbDispatch);
@@ -1362,7 +1343,7 @@ impl<M: MemPort> Core<M> {
                 }
                 break;
             }
-            let inst = self.inst(id).clone();
+            let inst = &self.program[id];
             let kind = inst.kind();
             match kind {
                 InstKind::Load if self.lq_used >= self.cfg.lq_entries => {
@@ -1381,116 +1362,87 @@ impl<M: MemPort> Core<M> {
             }
             self.fetch_q.pop_front();
 
-            // Reset the slot for (re)dispatch.
-            {
-                let slot = &mut self.slots[id.index()];
-                slot.epoch = slot.epoch.wrapping_add(1);
-                slot.state = State::InIq;
-                slot.pending_regs = 0;
-                slot.edep_pending = 0;
-                slot.edep_srcs = [None, None];
-            }
-            let epoch = self.slots[id.index()].epoch;
-
-            // Register renaming: capture current producers.
-            for src in inst.src_regs() {
-                if let Some(&p) = self.scoreboard.get(&src) {
+            // Register renaming: link to current producers that have not
+            // executed yet.
+            let mut reg_srcs = [Link::NONE; 3];
+            for (link, src) in reg_srcs.iter_mut().zip(inst.src_regs()) {
+                if let Some(p) = self.scoreboard[usize::from(src.index())] {
                     if self.slots[p.index()].state < State::Executed {
-                        self.slots[id.index()].pending_regs += 1;
-                        self.reg_waiters.entry(p).or_default().push((id, epoch));
+                        *link = Link::to(p);
                     }
                 }
             }
             if let Some(dst) = inst.dst_reg() {
-                self.scoreboard.insert(dst, id);
+                self.scoreboard[usize::from(dst.index())] = Some(id);
             }
 
             // EDM access (§V-A): find consumed dependences, record
             // produced key.
-            let deps = self.edm.decode(&inst, id);
-            let mut srcs: Vec<InstId> = deps
-                .sources()
-                .into_iter()
-                .filter(|s| self.incomplete.contains(s))
-                .collect();
+            let deps = self.edm.decode(inst, id);
+            let mut srcs = [Link::NONE; 2];
+            let mut n = 0;
+            for s in deps.sources().filter(|&s| self.incomplete.contains(s)) {
+                srcs[n] = Link::to(s);
+                n += 1;
+            }
             // An incomplete older WAIT_ALL_KEYS blocks younger consumers.
+            // Under WB, stores are held by the WAIT's retire blocking;
+            // consumer loads still need the link.
             if inst.is_edk_consumer() && !matches!(inst.op, Op::WaitKey { .. } | Op::WaitAllKeys) {
-                if let Some(&w) = self.live_wait_alls.range(..id).next_back() {
-                    let issue_blocked = match enforcement {
-                        Some(EnforcementPoint::IssueQueue) | None => true,
-                        // Under WB, stores are held by the WAIT's retire
-                        // blocking; consumer loads still need the link.
-                        Some(EnforcementPoint::WriteBuffer) => kind == InstKind::Load,
-                    };
-                    if issue_blocked && !srcs.contains(&w) && srcs.len() < 2 {
-                        srcs.push(w);
+                if let Some(&w) = self.live_wait_alls.last() {
+                    if blocks_at_issue(kind) && !srcs[..n].contains(&Link::to(w)) && n < 2 {
+                        srcs[n] = Link::to(w);
+                        n += 1;
                     }
                 }
             }
             // Fault injection: a pipeline that decoded the keys but then
             // forgot to register the dependences.
             if self.cfg.fault == Some(FaultInjection::DropEdeps) {
-                srcs.clear();
+                n = 0;
             }
             // Fault injection: exactly one decoded edge is lost (a single
             // missed wakeup, not a wholesale broken tracker).
             if let Some(FaultInjection::DropOneEdep { nth }) = self.cfg.fault {
-                srcs.retain(|_| {
-                    let n = self.edep_edge_count;
+                let mut kept = 0;
+                for i in 0..n {
+                    let edge = self.edep_edge_count;
                     self.edep_edge_count += 1;
-                    n != nth
-                });
-            }
-            {
-                let slot = &mut self.slots[id.index()];
-                for (i, s) in srcs.iter().take(2).enumerate() {
-                    slot.edep_srcs[i] = Some(*s);
+                    if edge != nth {
+                        srcs[kept] = srcs[i];
+                        kept += 1;
+                    }
                 }
+                n = kept;
             }
-            // Issue-time blocking applies under IQ for everything, and for
-            // loads under WB.
-            let blocks_at_issue = match enforcement {
-                Some(EnforcementPoint::IssueQueue) | None => true,
-                Some(EnforcementPoint::WriteBuffer) => kind == InstKind::Load,
-            };
-            if blocks_at_issue {
-                for s in srcs.iter().take(2) {
-                    self.slots[id.index()].edep_pending += 1;
-                    self.edep_waiters.entry(*s).or_default().push((id, epoch));
-                }
+            srcs[n..].fill(Link::NONE);
+
+            // Reset the slot for (re)dispatch.
+            if id.index() == self.slots.len() {
+                self.slots.push(Slot::default());
             }
+            let slot = &mut self.slots[id.index()];
+            slot.epoch = slot.epoch.wrapping_add(1);
+            slot.state = State::InIq;
+            slot.reg_srcs = reg_srcs;
+            slot.edep_srcs = srcs;
+            slot.edep_at_issue = blocks_at_issue(kind);
 
             if inst.is_ede() {
-                self.tracker.insert(&inst, id);
+                self.tracker.insert(inst, id);
             }
-            self.incomplete.insert(id);
-            if Self::is_mem_op(kind) {
-                self.incomplete_mem.insert(id);
-            }
+            self.incomplete.dispatch(id, kind);
             match inst.op {
-                Op::DmbSy => {
-                    self.live_dmbs.insert(id);
-                }
-                Op::DmbSt => {
-                    self.live_stbars.insert(id);
-                }
-                Op::WaitAllKeys => {
-                    self.live_wait_alls.insert(id);
-                }
-                Op::DsbSy => {
-                    self.dispatch_block = Some(id);
-                }
-                Op::Str { addr, .. } => {
-                    self.store_map.entry(addr).or_default().push(id);
-                }
+                Op::DmbSy => self.live_dmbs.push(id),
+                Op::DmbSt => self.live_stbars.push(id),
+                Op::WaitAllKeys => self.live_wait_alls.push(id),
+                Op::DsbSy => self.dispatch_block = Some(id),
+                Op::Str { addr, .. } => self.inflight_stores.push((addr, id)),
                 Op::Stp { addr, .. } => {
-                    self.store_map.entry(addr).or_default().push(id);
-                    self.store_map.entry(addr + 8).or_default().push(id);
+                    self.inflight_stores.push((addr, id));
+                    self.inflight_stores.push((addr + 8, id));
                 }
                 _ => {}
-            }
-            if kind == InstKind::Store {
-                self.incomplete_stores.insert(id);
             }
             match kind {
                 InstKind::Load => self.lq_used += 1,
@@ -1534,39 +1486,18 @@ impl<M: MemPort> Core<M> {
     fn squash(&mut self, branch: InstId) {
         self.moved = true;
         self.squashes += 1;
-        // Remove every younger instruction from the back of the ROB.
+        // Remove every younger instruction from the back of the ROB (they
+        // are all the dispatched instructions younger than the branch).
         while let Some(&id) = self.rob.back() {
             if id <= branch {
                 break;
             }
             self.rob.pop_back();
-            let inst = self.inst(id).clone();
-            let kind = inst.kind();
-            match kind {
+            match self.program[id].kind() {
                 InstKind::Load => self.lq_used -= 1,
                 InstKind::Store | InstKind::Writeback => self.sq_used -= 1,
                 _ => {}
             }
-            match inst.op {
-                Op::Str { addr, .. } => self.unmap_store(addr, id),
-                Op::Stp { addr, .. } => {
-                    self.unmap_store(addr, id);
-                    self.unmap_store(addr + 8, id);
-                }
-                Op::DmbSy => {
-                    self.live_dmbs.remove(&id);
-                }
-                Op::DmbSt => {
-                    self.live_stbars.remove(&id);
-                }
-                Op::WaitAllKeys => {
-                    self.live_wait_alls.remove(&id);
-                }
-                _ => {}
-            }
-            self.incomplete.remove(&id);
-            self.incomplete_mem.remove(&id);
-            self.incomplete_stores.remove(&id);
             let slot = &mut self.slots[id.index()];
             slot.state = State::NotDispatched;
             // Invalidate in-flight FU/memory events for the squashed
@@ -1574,9 +1505,22 @@ impl<M: MemPort> Core<M> {
             slot.epoch = slot.epoch.wrapping_add(1);
             self.emit(id, PipeStage::Squash);
         }
+        self.incomplete.squash_after(branch);
+        for live in [
+            &mut self.live_dmbs,
+            &mut self.live_stbars,
+            &mut self.live_wait_alls,
+        ] {
+            live.retain(|&d| d <= branch);
+        }
+        self.inflight_stores.retain(|&(_, s)| s <= branch);
         self.iq.retain(|&i| i <= branch);
         self.fetch_q.clear();
-        self.scoreboard.retain(|_, &mut p| p <= branch);
+        for p in &mut self.scoreboard {
+            if p.is_some_and(|p| p > branch) {
+                *p = None;
+            }
+        }
         let checkpoint = if self.cfg.edm_branch_checkpoints {
             let found = self
                 .edm_checkpoints
@@ -1595,18 +1539,16 @@ impl<M: MemPort> Core<M> {
                 // producers that completed while it was live.
                 self.edm.restore(cp);
                 let incomplete = &self.incomplete;
-                self.edm.retain_spec(|id| incomplete.contains(&id));
+                self.edm.retain_spec(|id| incomplete.contains(id));
             }
             None => {
                 self.edm.squash();
                 // Repair: older un-retired producers live in the ROB but
                 // not in the non-speculative map; replay their key
                 // definitions in order.
-                for idx in 0..self.rob.len() {
-                    let id = self.rob[idx];
+                for &id in &self.rob {
                     if self.slots[id.index()].state < State::Complete {
-                        let inst = self.program[id].clone();
-                        self.edm.replay_spec(&inst, id);
+                        self.edm.replay_spec(&self.program[id], id);
                     }
                 }
             }
@@ -1617,6 +1559,13 @@ impl<M: MemPort> Core<M> {
         }
         self.fetch_ptr = (branch.0 + 1) as usize;
         self.fetch_resume = self.now + self.cfg.mispredict_penalty;
+    }
+}
+
+/// Removes `id` from a sorted list of live fences.
+fn remove_live(live: &mut Vec<InstId>, id: InstId) {
+    if let Some(pos) = live.iter().position(|&d| d == id) {
+        live.remove(pos);
     }
 }
 

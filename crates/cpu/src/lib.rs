@@ -53,6 +53,7 @@ pub mod ptrace;
 pub mod stats;
 pub mod trace;
 pub mod wb;
+pub mod window;
 
 pub use crate::core::{Core, CoreError, RunStats};
 pub use config::{CpuConfig, FaultInjection};

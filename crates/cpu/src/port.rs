@@ -13,6 +13,12 @@ pub trait MemPort {
     fn try_access(&mut self, kind: ReqKind, addr: u64, now: u64) -> Option<ReqId>;
     /// Advances to `now`, returning responses due.
     fn tick(&mut self, now: u64) -> Vec<MemResp>;
+    /// Advances to `now`, appending the responses due to `out` — the
+    /// core's per-cycle call, which reuses one buffer. Defaults to
+    /// [`tick`](Self::tick).
+    fn tick_into(&mut self, now: u64, out: &mut Vec<MemResp>) {
+        out.extend(self.tick(now));
+    }
     /// The cycle of the earliest pending event (response delivery or
     /// internal media completion), if any.
     ///
@@ -35,6 +41,10 @@ impl MemPort for MemSystem {
 
     fn tick(&mut self, now: u64) -> Vec<MemResp> {
         MemSystem::tick(self, now)
+    }
+
+    fn tick_into(&mut self, now: u64, out: &mut Vec<MemResp>) {
+        MemSystem::tick_into(self, now, out);
     }
 
     fn next_event_cycle(&self) -> Option<u64> {

@@ -169,36 +169,51 @@ impl WriteBuffer {
     /// Entries (IDs, in buffer order) eligible to start draining now:
     /// memory entries whose tags are clear, not blocked by an older
     /// `DMB ST` token (stores only) or an older same-line entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes` is not a power of two.
     pub fn drainable(&self, line_bytes: u64) -> Vec<InstId> {
         let mut out = Vec::new();
-        let mut barrier_seen = false;
-        for (i, e) in self.entries.iter().enumerate() {
-            match e.kind {
-                WbKind::StBarrier => {
-                    barrier_seen = true;
-                    continue;
-                }
-                WbKind::Join => continue,
-                WbKind::Store { .. } | WbKind::Cvap { .. } => {}
-            }
-            if e.state != WbState::Waiting || !Self::srcs_clear(e) {
-                continue;
-            }
-            if barrier_seen && e.kind.is_store() {
-                continue;
-            }
-            let line = e.kind.addr().expect("memory entry has address") / line_bytes;
-            let same_line_older = self.entries[..i].iter().any(|o| {
-                o.kind
-                    .addr()
-                    .is_some_and(|a| a / line_bytes == line)
-            });
-            if same_line_older && !self.reorder_same_line {
-                continue;
-            }
-            out.push(e.id);
+        let mut from = 0;
+        while let Some(i) = self.next_drainable(from, line_bytes) {
+            out.push(self.entries[i].id);
+            from = i + 1;
         }
         out
+    }
+
+    /// Index of the oldest entry at or after position `from` that is
+    /// eligible to start draining now (see [`drainable`](Self::drainable)).
+    /// Marking an entry as draining leaves every other entry's
+    /// eligibility unchanged, so a caller can drain while it scans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes` is not a power of two.
+    pub fn next_drainable(&self, from: usize, line_bytes: u64) -> Option<usize> {
+        assert!(line_bytes.is_power_of_two(), "line size {line_bytes}");
+        let line_shift = line_bytes.trailing_zeros();
+        (from..self.entries.len()).find(|&i| self.may_drain(i, line_shift))
+    }
+
+    fn may_drain(&self, i: usize, line_shift: u32) -> bool {
+        let e = &self.entries[i];
+        let Some(addr) = e.kind.addr() else {
+            return false; // JOIN and DMB ST entries never drain
+        };
+        if e.state != WbState::Waiting || !Self::srcs_clear(e) {
+            return false;
+        }
+        let older = &self.entries[..i];
+        if e.kind.is_store() && older.iter().any(|o| o.kind == WbKind::StBarrier) {
+            return false;
+        }
+        let line = addr >> line_shift;
+        self.reorder_same_line
+            || !older
+                .iter()
+                .any(|o| o.kind.addr().is_some_and(|a| a >> line_shift == line))
     }
 
     /// Marks an entry as draining (request sent to memory).

@@ -2,9 +2,12 @@
 
 use ede_core::ordering::check_execution_deps;
 use ede_core::EnforcementPoint;
+use ede_cpu::ptrace::PipeStage;
 use ede_cpu::{Core, CpuConfig, FixedLatencyMem};
-use ede_isa::{Edk, EdkPair, InstKind, Program, TraceBuilder};
+use ede_isa::{ArchConfig, Edk, EdkPair, InstId, InstKind, Program, TraceBuilder};
 use ede_mem::{MemConfig, MemSystem};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn run(program: &Program, cfg: CpuConfig) -> ede_cpu::RunStats {
     let mem = FixedLatencyMem::new(12, 45);
@@ -241,5 +244,104 @@ fn key_redefinition_in_flight_links_to_newest_producer() {
         let deps = ede_core::ordering::execution_deps(&p);
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].0, p.iter().filter(|(_, i)| i.kind() == InstKind::Writeback).map(|(id, _)| id).nth(1).expect("two cvaps"));
+    }
+}
+
+/// A program whose first `DC CVAP` stays incomplete (a 400-cycle
+/// acknowledgement) while far more than `rob_entries` younger
+/// instructions dispatch and retire past it, with a mispredicted branch
+/// inside that span; the architecture's own ordering idiom between that
+/// persist and a later one comes due only after the span.
+fn persist_outlives_rob_program(arch: ArchConfig) -> Program {
+    let k = Edk::new(1).unwrap();
+    let ede = matches!(arch, ArchConfig::IssueQueue | ArchConfig::WriteBuffer);
+    let mut b = TraceBuilder::new();
+    b.store(0x1_0000_0000, 1);
+    if ede {
+        b.cvap_producing(0x1_0000_0000, k);
+    } else {
+        b.cvap(0x1_0000_0000);
+    }
+    for i in 0..60u64 {
+        if i == 20 {
+            let l = b.mov_imm(1);
+            let r = b.mov_imm(2);
+            b.cmp_branch(l, r, true);
+        }
+        match i % 12 {
+            0 => {
+                b.load(0x2000 + i * 64, i);
+            }
+            6 => {
+                b.store(0x8000 + i * 64, i);
+            }
+            _ => {
+                b.compute_chain(3);
+            }
+        }
+    }
+    match arch {
+        ArchConfig::Baseline => {
+            b.dsb_sy();
+        }
+        ArchConfig::StoreBarrierUnsafe => {
+            b.dmb_st();
+        }
+        _ => {}
+    }
+    if ede {
+        b.store_consuming(0x1_0000_1000, 2, k);
+    } else {
+        b.store(0x1_0000_1000, 2);
+    }
+    b.cvap(0x1_0000_1000);
+    b.finish()
+}
+
+#[test]
+fn persist_outliving_the_rob_is_identical_on_both_paths() {
+    // The cycle counts the ordered-set pipeline state produced; the
+    // dense state must reproduce them.
+    let pinned_cycles = [832, 514, 830, 829, 507];
+    for (arch, pinned) in ArchConfig::ALL.into_iter().zip(pinned_cycles) {
+        let label = arch.label();
+        let p = persist_outlives_rob_program(arch);
+        let cvap = p
+            .iter()
+            .find(|(_, i)| i.kind() == InstKind::Writeback)
+            .unwrap()
+            .0;
+        let mut runs = Vec::new();
+        for fast in [true, false] {
+            let mut cfg = CpuConfig::a72();
+            cfg.enforcement = EnforcementPoint::for_arch(arch);
+            cfg.fast_forward = fast;
+            let rob = cfg.rob_entries;
+            let mut core = Core::new(cfg, p.clone(), FixedLatencyMem::new(12, 400));
+            let retires: Rc<RefCell<Vec<(u64, InstId)>>> = Rc::default();
+            let sink = Rc::clone(&retires);
+            core.set_observer(Box::new(move |e| {
+                if e.stage == PipeStage::Retire {
+                    sink.borrow_mut().push((e.cycle, e.id));
+                }
+            }));
+            let stats = core.run(2_000_000).expect("terminates");
+            // The premise: the persist is still outstanding after more
+            // than a ROB's worth of younger instructions retired.
+            let done = stats.timings[cvap.index()].complete;
+            let younger_retired = retires
+                .borrow()
+                .iter()
+                .filter(|&&(c, id)| id > cvap && c < done)
+                .count();
+            assert!(
+                younger_retired > rob,
+                "{label}: only {younger_retired} younger retirements before the ack"
+            );
+            assert_eq!(stats.squashes, 1);
+            runs.push(stats);
+        }
+        assert_eq!(runs[0], runs[1], "{label}: fast-forward changed the run");
+        assert_eq!(runs[0].cycles, pinned, "{label}: cycle count moved");
     }
 }

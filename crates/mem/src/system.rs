@@ -354,6 +354,13 @@ impl MemSystem {
     /// it.
     pub fn tick(&mut self, now: u64) -> Vec<MemResp> {
         let mut resps = Vec::new();
+        self.tick_into(now, &mut resps);
+        resps
+    }
+
+    /// [`tick`](Self::tick), appending the responses to `resps` instead of
+    /// allocating a vector for them.
+    pub fn tick_into(&mut self, now: u64, resps: &mut Vec<MemResp>) {
         while let Some(Reverse(ev)) = self.events.peek().copied() {
             if ev.cycle > now {
                 break;
@@ -390,7 +397,6 @@ impl MemSystem {
                 }
             }
         }
-        resps
     }
 
     /// Whether any request or media write is still in flight.

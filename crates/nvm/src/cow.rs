@@ -143,8 +143,9 @@ pub struct CowTxWriter {
     meta: CowMeta,
     txid: Option<u64>,
     next_txid: u64,
-    /// Logical slot → shadow block address, this transaction.
-    shadows: HashMap<u64, u64>,
+    /// Logical slot → shadow block address, this transaction (ordered by
+    /// slot, so commit persists the shadows in a deterministic order).
+    shadows: BTreeMap<u64, u64>,
     /// Leaf index → shadow leaf-table address, this transaction.
     leaf_shadows: BTreeMap<u64, u64>,
     key_rotor: u8,
@@ -206,7 +207,7 @@ impl CowTxWriter {
             meta: CowMeta { root_line, root_twin, slots },
             txid: None,
             next_txid: 1,
-            shadows: HashMap::new(),
+            shadows: BTreeMap::new(),
             leaf_shadows: BTreeMap::new(),
             key_rotor: 0,
             records: Vec::new(),

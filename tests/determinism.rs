@@ -66,3 +66,24 @@ fn different_seeds_differ() {
         "seed has no observable effect"
     );
 }
+
+/// The copy-on-write kernel is a deterministic function of its seed: two
+/// builds give the same program and the same simulated cycles (commit
+/// persists the shadow blocks in slot order).
+#[test]
+fn cow_kernel_same_seed_same_program_and_cycles() {
+    use ede_nvm::cow::cow_update_kernel;
+    use ede_sim::run_program;
+    for arch in [ArchConfig::Baseline, ArchConfig::WriteBuffer] {
+        let (a, _) = cow_update_kernel(arch, 60, 10, 64, 5);
+        let (b, _) = cow_update_kernel(arch, 60, 10, 64, 5);
+        let label = arch.label();
+        assert_eq!(a.program, b.program, "{label}: CoW programs diverged");
+        let cycles = |out| {
+            run_program("cow-update", out, arch, &SimConfig::a72())
+                .expect("run completes")
+                .cycles
+        };
+        assert_eq!(cycles(a), cycles(b), "{label}: CoW cycles diverged");
+    }
+}
