@@ -20,8 +20,8 @@
 
 use ede_isa::{Edk, EdkPair, Program, TraceBuilder};
 use ede_util::check::{self, BoxedStrategy, Strategy};
+use ede_util::hash::U64Map;
 use ede_util::prop_oneof;
-use std::collections::HashMap;
 
 /// Number of distinct 8-byte slots the generator stores to. Twenty-four
 /// slots span three 64-byte NVM lines — enough for the litmus idioms'
@@ -165,7 +165,7 @@ pub fn cmds_strategy(max_cmds: usize) -> impl Strategy<Value = Vec<Cmd>> {
 /// generated program.
 pub fn concretize(cmds: &[Cmd]) -> Program {
     let mut b = TraceBuilder::new();
-    let mut mem: HashMap<u64, u64> = HashMap::new();
+    let mut mem: U64Map<u64> = U64Map::default();
     let mut next_val: u64 = 1;
     for cmd in cmds {
         match *cmd {

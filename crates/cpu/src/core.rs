@@ -734,6 +734,12 @@ impl<M: MemPort> Core<M> {
         self.mem
     }
 
+    /// Consumes the core, returning the memory system and the program it
+    /// ran, so a caller that moved its program in can take it back.
+    pub fn into_parts(self) -> (M, Program) {
+        (self.mem, self.program)
+    }
+
     /// The memory system.
     pub fn mem(&self) -> &M {
         &self.mem

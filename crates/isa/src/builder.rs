@@ -41,6 +41,9 @@ use crate::VAddr;
 #[derive(Debug)]
 pub struct TraceBuilder {
     program: Program,
+    /// The first instruction pushed with EDE keys its opcode does not
+    /// admit; [`finish`](Self::finish) rejects the trace if there is one.
+    malformed: Option<InstId>,
     /// Next rotation candidate among the allocatable registers.
     cursor: u8,
     /// Registers currently pinned (excluded from rotation).
@@ -63,6 +66,7 @@ impl TraceBuilder {
     pub fn new() -> TraceBuilder {
         TraceBuilder {
             program: Program::new(),
+            malformed: None,
             cursor: ROTATION_FIRST,
             pinned: vec![false; Reg::NUM_GPRS as usize],
         }
@@ -89,9 +93,10 @@ impl TraceBuilder {
     ///
     /// Panics if the trace fails static validation (EDE keys on an opcode
     /// that does not admit them) — this is a bug in the calling lowering
-    /// code, not a runtime condition.
+    /// code, not a runtime condition. The check is the one
+    /// [`Program::validate`] makes, done as each instruction is pushed.
     pub fn finish(self) -> Program {
-        if let Err(id) = self.program.validate() {
+        if let Some(id) = self.malformed {
             panic!("malformed trace: instruction {id} carries EDE keys on a non-EDE opcode");
         }
         self.program
@@ -99,7 +104,18 @@ impl TraceBuilder {
 
     /// Appends a raw instruction (escape hatch for tests and examples).
     pub fn push_raw(&mut self, inst: Inst) -> InstId {
-        self.program.push(inst)
+        self.push(inst)
+    }
+
+    /// Appends an instruction, remembering the first one that fails
+    /// [`Inst::edks_permitted`].
+    fn push(&mut self, inst: Inst) -> InstId {
+        let ok = inst.edks_permitted();
+        let id = self.program.push(inst);
+        if !ok && self.malformed.is_none() {
+            self.malformed = Some(id);
+        }
+        id
     }
 
     fn alloc(&mut self) -> Reg {
@@ -132,7 +148,7 @@ impl TraceBuilder {
     /// `mov dst, #imm` into a fresh register.
     pub fn mov_imm(&mut self, imm: u64) -> Reg {
         let dst = self.alloc();
-        self.program.push(Inst::plain(Op::Mov { dst, imm }));
+        self.push(Inst::plain(Op::Mov { dst, imm }));
         dst
     }
 
@@ -141,7 +157,7 @@ impl TraceBuilder {
     pub fn lea(&mut self, addr: VAddr) -> Reg {
         let dst = self.alloc();
         self.pinned[dst.index() as usize] = true;
-        self.program.push(Inst::plain(Op::Mov { dst, imm: addr }));
+        self.push(Inst::plain(Op::Mov { dst, imm: addr }));
         dst
     }
 
@@ -150,7 +166,7 @@ impl TraceBuilder {
     pub fn lea_offset(&mut self, base: Reg, off: u64) -> Reg {
         let dst = self.alloc();
         self.pinned[dst.index() as usize] = true;
-        self.program.push(Inst::plain(Op::Add {
+        self.push(Inst::plain(Op::Add {
             dst,
             lhs: base,
             imm: off,
@@ -168,7 +184,7 @@ impl TraceBuilder {
     /// EDE load variant (§VIII-C extension): `ldr (def, use), dst, [base]`.
     pub fn load_from_edk(&mut self, base: Reg, addr: VAddr, value: u64, edks: EdkPair) -> Reg {
         let dst = self.alloc();
-        self.program.push(Inst::with_edks(
+        self.push(Inst::with_edks(
             Op::Ldr {
                 dst,
                 base,
@@ -193,7 +209,7 @@ impl TraceBuilder {
     /// `mov` + `str src, [base]` with explicit EDE keys.
     pub fn store_to_edk(&mut self, base: Reg, addr: VAddr, value: u64, edks: EdkPair) -> InstId {
         let src = self.mov_imm(value);
-        self.program.push(Inst::with_edks(
+        self.push(Inst::with_edks(
             Op::Str {
                 src,
                 base,
@@ -242,7 +258,7 @@ impl TraceBuilder {
         assert_eq!(addr % 16, 0, "STP address {addr:#x} must be 16-byte aligned");
         let src1 = self.mov_imm(values[0]);
         let src2 = self.mov_imm(values[1]);
-        self.program.push(Inst::with_edks(
+        self.push(Inst::with_edks(
             Op::Stp {
                 src1,
                 src2,
@@ -263,8 +279,7 @@ impl TraceBuilder {
 
     /// `dc cvap, base` with explicit keys.
     pub fn cvap_to_edk(&mut self, base: Reg, addr: VAddr, edks: EdkPair) -> InstId {
-        self.program
-            .push(Inst::with_edks(Op::DcCvap { base, addr }, edks))
+        self.push(Inst::with_edks(Op::DcCvap { base, addr }, edks))
     }
 
     /// Plain `dc cvap, base`.
@@ -293,24 +308,24 @@ impl TraceBuilder {
 
     /// `dsb sy` — full data synchronization barrier.
     pub fn dsb_sy(&mut self) -> InstId {
-        self.program.push(Inst::plain(Op::DsbSy))
+        self.push(Inst::plain(Op::DsbSy))
     }
 
     /// `dmb st` — store barrier.
     pub fn dmb_st(&mut self) -> InstId {
-        self.program.push(Inst::plain(Op::DmbSt))
+        self.push(Inst::plain(Op::DmbSt))
     }
 
     /// `dmb sy` — full memory barrier.
     pub fn dmb_sy(&mut self) -> InstId {
-        self.program.push(Inst::plain(Op::DmbSy))
+        self.push(Inst::plain(Op::DmbSy))
     }
 
     // ---- EDE control instructions ---------------------------------------
 
     /// `JOIN (def, use1, use2)`.
     pub fn join(&mut self, def: Edk, use1: Edk, use2: Edk) -> InstId {
-        self.program.push(Inst::with_edks(
+        self.push(Inst::with_edks(
             Op::Join { use2 },
             EdkPair::new(def, use1),
         ))
@@ -318,12 +333,12 @@ impl TraceBuilder {
 
     /// `WAIT_KEY (key)`.
     pub fn wait_key(&mut self, key: Edk) -> InstId {
-        self.program.push(Inst::plain(Op::WaitKey { key }))
+        self.push(Inst::plain(Op::WaitKey { key }))
     }
 
     /// `WAIT_ALL_KEYS`.
     pub fn wait_all_keys(&mut self) -> InstId {
-        self.program.push(Inst::plain(Op::WaitAllKeys))
+        self.push(Inst::plain(Op::WaitAllKeys))
     }
 
     // ---- control flow & filler compute ----------------------------------
@@ -331,9 +346,8 @@ impl TraceBuilder {
     /// `cmp lhs, rhs` followed by a conditional branch with the given
     /// (trace-resolved) misprediction outcome.
     pub fn cmp_branch(&mut self, lhs: Reg, rhs: Reg, mispredicted: bool) -> InstId {
-        self.program.push(Inst::plain(Op::Cmp { lhs, rhs }));
-        self.program
-            .push(Inst::plain(Op::Branch { mispredicted }))
+        self.push(Inst::plain(Op::Cmp { lhs, rhs }));
+        self.push(Inst::plain(Op::Branch { mispredicted }))
     }
 
     /// Emits `n` dependent `add` instructions (a serial compute chain), as
@@ -345,7 +359,7 @@ impl TraceBuilder {
         let mut r = self.mov_imm(1);
         for _ in 1..n {
             let dst = self.alloc();
-            self.program.push(Inst::plain(Op::Add {
+            self.push(Inst::plain(Op::Add {
                 dst,
                 lhs: r,
                 imm: 3,
@@ -357,7 +371,7 @@ impl TraceBuilder {
 
     /// `nop`.
     pub fn nop(&mut self) -> InstId {
-        self.program.push(Inst::plain(Op::Nop))
+        self.push(Inst::plain(Op::Nop))
     }
 }
 
@@ -453,6 +467,37 @@ mod tests {
             }
         }
         assert_eq!(defs_of_base, 1, "pinned base redefined by rotation");
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed trace: instruction #1 carries EDE keys")]
+    fn finish_names_the_first_malformed_instruction() {
+        let mut b = TraceBuilder::new();
+        let keyed_mov = |imm| {
+            Inst::with_edks(
+                Op::Mov {
+                    dst: Reg::x(1).unwrap(),
+                    imm,
+                },
+                EdkPair::producer(Edk::new(1).unwrap()),
+            )
+        };
+        b.nop();
+        b.push_raw(keyed_mov(0));
+        b.push_raw(keyed_mov(1));
+        let _ = b.finish();
+    }
+
+    #[test]
+    fn push_time_check_agrees_with_validate() {
+        let mut b = TraceBuilder::new();
+        let base = b.lea(0x1000);
+        let k = Edk::new(2).unwrap();
+        b.store_to_edk(base, 0x1000, 1, EdkPair::producer(k));
+        b.wait_key(k);
+        b.release(base);
+        let p = b.finish();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn all_labels_distinct() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             FaultInjection::ALL.iter().map(|f| f.label()).collect();
         assert_eq!(labels.len(), FaultInjection::ALL.len());
     }

@@ -6,8 +6,9 @@ use crate::fault::FaultInjection;
 use crate::nvm::{InsertOutcome, PersistBuffer};
 use crate::stats::MemStats;
 use crate::trace::{PersistEvent, PersistTrace, StoreEvent};
+use ede_util::hash::U64Map;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Identifies one in-flight memory request.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -88,7 +89,7 @@ pub struct MemSystem {
     outstanding: usize,
     /// Cvap requests whose persist is queued on a full buffer:
     /// token → (request, line address).
-    waiting_cvaps: HashMap<u64, (ReqId, u64)>,
+    waiting_cvaps: U64Map<(ReqId, u64)>,
     next_token: u64,
     trace: PersistTrace,
     stats: MemStats,
@@ -120,7 +121,7 @@ impl MemSystem {
             next_seq: 0,
             next_req: 0,
             outstanding: 0,
-            waiting_cvaps: HashMap::new(),
+            waiting_cvaps: U64Map::default(),
             next_token: 0,
             trace: PersistTrace::default(),
             stats: MemStats::default(),

@@ -15,7 +15,7 @@
 //! `ede-nvm` crate runs undo-log recovery over the resulting images to
 //! test crash consistency.
 
-use std::collections::HashMap;
+use ede_util::hash::U64Map;
 
 /// A store's data becoming visible in the (volatile) cache hierarchy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,7 +105,7 @@ impl PersistTrace {
 /// assert!(nvm_image_at(&t, 15, 64).is_empty());      // visible but not persistent
 /// assert_eq!(nvm_image_at(&t, 20, 64)[&0x1000], 42); // persisted at 20
 /// ```
-pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> HashMap<u64, u64> {
+pub fn nvm_image_at(trace: &PersistTrace, crash_cycle: u64, line_bytes: u64) -> U64Map<u64> {
     let mut replay = Replayer::new(trace, line_bytes);
     replay.advance_to(crash_cycle);
     replay.into_image()
@@ -139,9 +139,9 @@ pub struct Replayer<'t> {
     next_store: usize,
     next_persist: usize,
     /// Volatile view: word address → value, updated by stores.
-    volatile: HashMap<u64, u64>,
+    volatile: U64Map<u64>,
     /// Persistent image.
-    image: HashMap<u64, u64>,
+    image: U64Map<u64>,
 }
 
 impl<'t> Replayer<'t> {
@@ -152,8 +152,8 @@ impl<'t> Replayer<'t> {
             line_bytes,
             next_store: 0,
             next_persist: 0,
-            volatile: HashMap::new(),
-            image: HashMap::new(),
+            volatile: U64Map::default(),
+            image: U64Map::default(),
         }
     }
 
@@ -206,12 +206,12 @@ impl<'t> Replayer<'t> {
     }
 
     /// The persisted image as of the last crash cycle advanced to.
-    pub fn image(&self) -> &HashMap<u64, u64> {
+    pub fn image(&self) -> &U64Map<u64> {
         &self.image
     }
 
     /// Consumes the replayer, returning its persisted image.
-    pub fn into_image(self) -> HashMap<u64, u64> {
+    pub fn into_image(self) -> U64Map<u64> {
         self.image
     }
 }

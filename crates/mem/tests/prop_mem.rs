@@ -4,8 +4,8 @@ use ede_mem::nvm::PersistBuffer;
 use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::{MemConfig, MemSystem, ReqKind};
 use ede_util::check::{self, any, Just, Strategy};
+use ede_util::hash::U64Set;
 use ede_util::{prop_assert, prop_assert_eq, prop_oneof, property};
-use std::collections::HashSet;
 
 #[derive(Clone, Copy, Debug)]
 enum BufOp {
@@ -74,7 +74,7 @@ property! {
         let cfg = MemConfig::a72_hybrid();
         let mut mem = MemSystem::new(cfg.clone());
         let mut now = 0u64;
-        let mut pending: HashSet<u64> = HashSet::new();
+        let mut pending = U64Set::default();
         let mut issued = 0u64;
         for (kind, a) in reqs {
             // Tick a little to free MSHRs, then submit.

@@ -12,7 +12,7 @@ use crate::layout::Layout;
 use crate::log::{checksum, header_word, MAGIC, OFF_ADDR, OFF_MAGIC, OFF_TXID};
 use crate::memory::SimMemory;
 use ede_isa::{ArchConfig, Edk, EdkPair, InstId, Program, TraceBuilder, VAddr};
-use std::collections::HashSet;
+use ede_util::hash::U64Set;
 
 /// What one transaction did: `(addr, old, new)` per write, in order.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -85,7 +85,7 @@ pub struct TxWriter {
     txid: Option<u64>,
     next_txid: u64,
     log_tail: u64,
-    logged: HashSet<u64>,
+    logged: U64Set,
     key_rotor: u8,
     records: Vec<TxRecord>,
     init_writes: Vec<(u64, u64)>,
@@ -108,7 +108,7 @@ impl TxWriter {
             txid: None,
             next_txid: 1,
             log_tail: 0,
-            logged: HashSet::new(),
+            logged: U64Set::default(),
             key_rotor: 0,
             records: Vec::new(),
             init_writes: Vec::new(),
@@ -694,7 +694,7 @@ mod tests {
     #[test]
     fn key_rotor_cycles_through_live_keys() {
         let mut tx = writer(ArchConfig::WriteBuffer);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..30 {
             seen.insert(tx.next_key().index());
         }

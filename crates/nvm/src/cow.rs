@@ -41,7 +41,8 @@ use crate::recovery::NvmImage;
 use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder};
 use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::PersistTrace;
-use std::collections::{BTreeMap, HashMap};
+use ede_util::hash::U64Map;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Pointers per root block.
@@ -526,7 +527,7 @@ impl fmt::Display for CowViolation {
 #[derive(Clone, Debug)]
 pub struct CowChecker {
     meta: CowMeta,
-    initial: HashMap<u64, u64>,
+    initial: U64Map<u64>,
     records: Vec<TxRecord>,
 }
 
@@ -583,7 +584,7 @@ impl CowChecker {
             ),
         );
         // Expected logical state after the committed prefix.
-        let mut expected: HashMap<u64, u64> = HashMap::new();
+        let mut expected: U64Map<u64> = U64Map::default();
         for r in self.records.iter().take(committed as usize) {
             for &(l, _, new) in &r.writes {
                 expected.insert(l, new);

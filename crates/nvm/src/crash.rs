@@ -19,7 +19,8 @@ use crate::log::{classify_marker, MarkerCopy};
 use crate::recovery::{recover, NvmImage};
 use ede_mem::trace::{nvm_image_at, Replayer};
 use ede_mem::PersistTrace;
-use std::collections::{BTreeSet, HashMap};
+use ede_util::hash::U64Map;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A failure-atomicity violation found at a crash point.
@@ -109,7 +110,7 @@ pub type RecoveryFn = fn(&mut NvmImage, &Layout) -> crate::recovery::RecoveryRes
 #[derive(Clone, Debug)]
 pub struct CrashChecker {
     layout: Layout,
-    initial: HashMap<u64, u64>,
+    initial: U64Map<u64>,
     init_writes: Vec<(u64, u64)>,
     records: Vec<TxRecord>,
     recovery: RecoveryFn,
@@ -136,7 +137,7 @@ impl CrashChecker {
 
     /// The functional value every tracked address should hold after the
     /// first `k` transactions.
-    fn expected_after(&self, k: u64) -> HashMap<u64, u64> {
+    fn expected_after(&self, k: u64) -> U64Map<u64> {
         let mut m = self.initial.clone();
         for r in self.records.iter().take(k as usize) {
             for &(a, _, new) in &r.writes {
@@ -208,8 +209,11 @@ impl CrashChecker {
     pub fn check_image(&self, mut image: NvmImage) -> Result<u64, CheckFailure> {
         // The at-rest media holds the preloaded pool contents wherever
         // the run never persisted; merge them so recovery and header
-        // classification see what a real device would.
-        for (&a, &v) in &self.initial {
+        // classification see what a real device would. The words come
+        // from `init_writes`, newest first (the value `initial` keeps),
+        // rather than from `initial`: that map shares the image's hasher,
+        // and inserting its keys in bucket order clusters them.
+        for &(a, v) in self.init_writes.iter().rev() {
             image.entry(a).or_insert(v);
         }
         self.header_check(&image)?;
@@ -325,7 +329,7 @@ struct Sweep<'c> {
     /// Tracked addresses, first occurrence order.
     addrs: Vec<u64>,
     /// Tracked address → index into `addrs`.
-    index: HashMap<u64, usize>,
+    index: U64Map<usize>,
     /// Per tracked address: `(record index, new value)` of every
     /// transactional write to it, in record order.
     history: Vec<Vec<(usize, u64)>>,
@@ -352,7 +356,7 @@ impl<'c> Sweep<'c> {
     fn new(checker: &'c CrashChecker) -> Sweep<'c> {
         let layout = checker.layout;
         let mut addrs = Vec::new();
-        let mut index = HashMap::new();
+        let mut index = U64Map::default();
         for a in checker.tracked_addrs() {
             index.entry(a).or_insert_with(|| {
                 addrs.push(a);
@@ -372,11 +376,13 @@ impl<'c> Sweep<'c> {
         let in_log = (0..addrs.len())
             .filter(|&i| layout.in_log(addrs[i]))
             .collect();
+        // In `init_writes` order: a later write to a word wins, as in
+        // `initial`, without re-inserting that map's keys in bucket order.
         let log = checker
-            .initial
+            .init_writes
             .iter()
-            .filter(|(&a, _)| layout.in_log(a))
-            .map(|(&a, &v)| (a, v))
+            .copied()
+            .filter(|&(a, _)| layout.in_log(a))
             .collect();
         Sweep {
             checker,
@@ -640,7 +646,7 @@ mod tests {
         }
         tx.finish_init();
         let out = tx.finish();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(words[5], 0xBAD);
         image.insert(words[2], 0xBAD);
         for _ in 0..32 {
@@ -734,7 +740,7 @@ mod tests {
         }
         // An image where the data word raced ahead of its log entry is
         // rejected no matter how it was produced.
-        let mut torn = NvmImage::new();
+        let mut torn = NvmImage::default();
         torn.insert(a, 6);
         assert!(checker.check_image(torn).is_err());
     }

@@ -233,22 +233,21 @@ pub fn present_slots(image: &NvmImage, layout: &Layout) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
-    fn write_entry(mem: &mut HashMap<u64, u64>, slot: u64, e: &LogEntry) {
+    fn write_entry(mem: &mut NvmImage, slot: u64, e: &LogEntry) {
         mem.insert(slot + OFF_ADDR, e.addr);
         mem.insert(slot + OFF_OLD, e.old);
         mem.insert(slot + OFF_TXID, e.txid);
         mem.insert(slot + OFF_CSUM, e.checksum());
     }
 
-    fn rd(mem: &HashMap<u64, u64>) -> impl Fn(u64) -> u64 + '_ {
+    fn rd(mem: &NvmImage) -> impl Fn(u64) -> u64 + '_ {
         move |a| mem.get(&a).copied().unwrap_or(0)
     }
 
     #[test]
     fn roundtrip() {
-        let mut mem = HashMap::new();
+        let mut mem = NvmImage::default();
         let e = LogEntry {
             addr: 0x1_0000_2000,
             old: 99,
@@ -260,13 +259,13 @@ mod tests {
 
     #[test]
     fn empty_slot_invalid() {
-        let mem = HashMap::new();
+        let mem = NvmImage::default();
         assert_eq!(decode_entry(0x40, rd(&mem)), None);
     }
 
     #[test]
     fn corrupt_checksum_rejected() {
-        let mut mem = HashMap::new();
+        let mut mem = NvmImage::default();
         let e = LogEntry {
             addr: 0x100,
             old: 1,
@@ -280,7 +279,7 @@ mod tests {
     #[test]
     fn partial_entry_rejected() {
         // Only the first STP persisted (addr + old): checksum missing.
-        let mut mem = HashMap::new();
+        let mut mem = NvmImage::default();
         mem.insert(0x40 + OFF_ADDR, 0x100);
         mem.insert(0x40 + OFF_OLD, 7);
         assert_eq!(decode_entry(0x40, rd(&mem)), None);
@@ -338,7 +337,7 @@ mod tests {
     #[test]
     fn present_slots_are_ascending_and_bounded() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(layout.slot_addr(7) + OFF_CSUM, 1);
         image.insert(layout.slot_addr(2) + OFF_ADDR, 1);
         image.insert(layout.slot_addr(2) + OFF_TXID, 1);
@@ -361,7 +360,7 @@ mod tests {
     fn txid_zero_never_valid() {
         // A zero txid can't be distinguished from fresh NVM; the framework
         // starts transaction ids at 1.
-        let mut mem = HashMap::new();
+        let mut mem = NvmImage::default();
         let e = LogEntry {
             addr: 0,
             old: 0,

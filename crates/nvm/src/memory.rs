@@ -1,6 +1,6 @@
 //! Functional word-addressable memory.
 
-use std::collections::HashMap;
+use ede_util::hash::U64Map;
 
 /// The functional contents of the simulated address space, at 8-byte
 /// granularity. Unwritten words read as zero (fresh NVM/DRAM).
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimMemory {
-    words: HashMap<u64, u64>,
+    words: U64Map<u64>,
 }
 
 impl SimMemory {

@@ -2,11 +2,11 @@
 
 use crate::layout::Layout;
 use crate::log::{decode_entry, present_slots, resolve_marker, LogEntry};
-use std::collections::HashMap;
+use ede_util::hash::U64Map;
 
 /// A reconstructed NVM image: 8-byte word address → value; absent words
 /// read as zero (fresh media).
-pub type NvmImage = HashMap<u64, u64>;
+pub type NvmImage = U64Map<u64>;
 
 /// What recovery did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,7 +46,7 @@ pub struct RecoveryResult {
 /// use ede_nvm::Layout;
 ///
 /// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
+/// let mut image = NvmImage::default();
 /// // Header: tx 1 committed. A valid entry from uncommitted tx 2.
 /// image.insert(layout.log_header, header_word(1));
 /// let slot = layout.slot_addr(0);
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn empty_image_recovers_to_nothing() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let r = recover(&mut image, &layout);
         assert_eq!(r.committed_txid, 0);
         assert_eq!(r.rolled_back, 0);
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn committed_entries_skipped() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(layout.log_header, header_word(5));
         put_entry(&mut image, &layout, 0, layout.heap_base, 1, 5); // committed
         image.insert(layout.heap_base, 100);
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn two_uncommitted_txs_roll_back_to_oldest() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let x = layout.heap_base;
         // No committed header. Tx1 wrote x: 0 → 10; tx2 wrote x: 10 → 20.
         put_entry(&mut image, &layout, 0, x, 0, 1);
@@ -181,7 +181,7 @@ mod tests {
     fn recovery_trace_agrees_with_recover() {
         let mut layout = Layout::standard();
         layout.log_slots = 16; // keep the scan small for the test
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let x = layout.heap_base;
         let y = layout.heap_base + 64;
         image.insert(layout.log_header, header_word(1)); // tx 1 committed
@@ -220,7 +220,7 @@ mod tests {
         // the entry (and its checksum) persisted. The entry must be
         // rejected rather than rolled back to a corrupt value.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         let old_word = layout.slot_addr(0) + OFF_OLD;
         *image.get_mut(&old_word).unwrap() ^= 1 << 17;
@@ -236,7 +236,7 @@ mod tests {
         // checksum half tore off. Recovery must treat the transaction as
         // uncommitted and roll its entry back.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(layout.log_header, 1); // raw id, no checksum half
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         image.insert(layout.heap_base, 99);
@@ -252,7 +252,7 @@ mod tests {
         // (persisted first, so at least as new) survived: recovery must
         // see the commit and leave the committed write in place.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(layout.log_header, header_word(5) ^ (1 << 40));
         image.insert(layout.log_header_twin, header_word(5));
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 5);
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn corrupt_entry_ignored() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let s = layout.slot_addr(0);
         image.insert(s + OFF_ADDR, layout.heap_base);
         image.insert(s + OFF_OLD, 7);

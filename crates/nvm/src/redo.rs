@@ -36,7 +36,7 @@ use crate::log::{
 use crate::memory::SimMemory;
 use crate::recovery::{NvmImage, RecoveryResult};
 use ede_isa::{ArchConfig, Edk, EdkPair, TraceBuilder, VAddr};
-use std::collections::HashMap;
+use ede_util::hash::U64Map;
 
 /// Word offset of the *applied* transaction id in the log header line
 /// (the committed id lives at offset 0, as in the undo layout).
@@ -61,7 +61,7 @@ pub const OFF_APPLIED: u64 = 8;
 /// use ede_nvm::redo::{recover_redo, OFF_APPLIED};
 ///
 /// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
+/// let mut image = NvmImage::default();
 /// // Tx 1 committed but not applied; its redo entry carries the NEW value.
 /// image.insert(layout.log_header, header_word(1));
 /// let slot = layout.slot_addr(0);
@@ -116,7 +116,7 @@ pub struct RedoTxWriter {
     txid: Option<u64>,
     next_txid: u64,
     log_tail: u64,
-    write_set: HashMap<VAddr, u64>,
+    write_set: U64Map<u64>,
     write_order: Vec<VAddr>,
     key_rotor: u8,
     records: Vec<TxRecord>,
@@ -136,7 +136,7 @@ impl RedoTxWriter {
             txid: None,
             next_txid: 1,
             log_tail: 0,
-            write_set: HashMap::new(),
+            write_set: U64Map::default(),
             write_order: Vec::new(),
             key_rotor: 0,
             records: Vec::new(),
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn recovery_replays_committed_unapplied() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let a = layout.heap_base;
         image.insert(layout.log_header, header_word(2)); // committed: 2
         image.insert(layout.log_header + OFF_APPLIED, header_word(1)); // applied: 1
@@ -521,7 +521,7 @@ mod tests {
     #[test]
     fn recovery_ignores_uncommitted_entries() {
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let a = layout.heap_base;
         // No committed marker; an entry from tx 1 persisted.
         let slot = layout.slot_addr(0);
@@ -539,7 +539,7 @@ mod tests {
         // The primary committed marker tore, the twin survived: the
         // committed-but-unapplied transaction must still be replayed.
         let layout = Layout::standard();
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         let a = layout.heap_base;
         image.insert(layout.log_header, header_word(2) ^ (1 << 50));
         image.insert(layout.log_header_twin, header_word(2));

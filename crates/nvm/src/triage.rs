@@ -521,7 +521,7 @@ fn build_report(
 /// use ede_nvm::Layout;
 ///
 /// let layout = Layout::standard();
-/// let mut image = NvmImage::new();
+/// let mut image = NvmImage::default();
 /// for line in [layout.log_header, layout.log_header_twin] {
 ///     image.insert(line + OFF_MAGIC, MAGIC);
 ///     image.insert(line, header_word(1));
@@ -694,7 +694,7 @@ mod tests {
     use crate::log::{checksum, header_word, OFF_ADDR, OFF_CSUM, OFF_OLD, OFF_TXID};
 
     fn formatted_image(layout: &Layout) -> NvmImage {
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         for line in [layout.log_header, layout.log_header_twin] {
             image.insert(line + OFF_MAGIC, MAGIC);
         }
@@ -767,7 +767,7 @@ mod tests {
     fn double_wipe_is_unrecoverable_and_untouched() {
         let layout = Layout::standard();
         // Magic never present on either line: zero-wiped (or foreign).
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         put_entry(&mut image, &layout, 0, layout.heap_base, 7, 1);
         image.insert(layout.heap_base, 99);
         let before = image.clone();
@@ -884,7 +884,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         image.insert(meta.root_line, 0x9000);
         image.insert(meta.root_line + 8, 1); // torn: raw id half only
         image.insert(meta.root_twin, 0x9000);
@@ -906,7 +906,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new(); // zero everywhere: nothing validates
+        let mut image = NvmImage::default(); // zero everywhere: nothing validates
         let r = triage_cow(&mut image, &meta);
         assert!(matches!(r.outcome, RecoveryOutcome::Unrecoverable { .. }));
     }
@@ -919,7 +919,7 @@ mod tests {
             root_twin: 0x1_0000_1000,
             slots: 8,
         };
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         // Crash between the twin switch and the primary switch.
         image.insert(meta.root_line, 0x9000);
         image.insert(meta.root_line + 8, root_word(0x9000, 1));

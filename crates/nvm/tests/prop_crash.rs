@@ -9,6 +9,7 @@ use ede_nvm::recovery::{recover, NvmImage, RecoveryResult};
 use ede_nvm::redo::{recover_redo, OFF_APPLIED};
 use ede_nvm::{CrashChecker, Layout, TxWriter};
 use ede_util::check::{self, any};
+use ede_util::hash::map_with_capacity;
 use ede_util::{prop_assert, prop_assert_eq, prop_assume, property};
 
 /// Undo (`redo == false`) or redo recovery scanning every one of the
@@ -69,7 +70,7 @@ property! {
     ) {
         let layout = Layout::standard();
         let slots = [0, 1, 2, layout.log_slots - 1, layout.log_slots + 1, 3 * layout.log_slots];
-        let mut image = NvmImage::new();
+        let mut image = NvmImage::default();
         for ((slot, txid, word), (old, damage, bit)) in entries {
             let s = layout.slot_addr(slots[slot as usize]);
             let addr = layout.heap_base + word * 8;
@@ -171,7 +172,9 @@ property! {
 
         // Build a fully-persisted image: every functional word written
         // during the run, persisted at the end.
-        let mut image: NvmImage = out.memory.iter().map(|(&a, &v)| (a, v)).collect();
+        // Pre-sized: the source is a map with the same hasher.
+        let mut image: NvmImage = map_with_capacity(out.memory.len());
+        image.extend(out.memory.iter().map(|(&a, &v)| (a, v)));
         let r = recover(&mut image, &layout);
         prop_assert_eq!(r.committed_txid, out.records.len() as u64);
         prop_assert_eq!(r.rolled_back, 0, "all transactions committed");

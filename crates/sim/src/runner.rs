@@ -201,7 +201,7 @@ pub fn run_program_observed(
 
 fn run_program_inner(
     name: &str,
-    output: TxOutput,
+    mut output: TxOutput,
     arch: ArchConfig,
     sim: &SimConfig,
     observer: Option<PipeObserver>,
@@ -224,7 +224,10 @@ fn run_program_inner(
         }
     }
     let mem = MemSystem::new(sim.mem.clone());
-    let mut core = Core::new(sim.cpu_for(arch), output.program.clone(), mem);
+    // The core takes the program for the run and hands it back, so
+    // the result keeps it without a copy.
+    let program = std::mem::take(&mut output.program);
+    let mut core = Core::new(sim.cpu_for(arch), program, mem);
     if let Some(obs) = observer {
         core.set_observer(obs);
     }
@@ -233,7 +236,8 @@ fn run_program_inner(
     }
     let stats = core.run(sim.max_cycles)?;
     let tr = core.take_tracer();
-    let mut mem = core.into_mem();
+    let (mut mem, program) = core.into_parts();
+    output.program = program;
     // Drain in-flight media writes so the persist trace and the buffer
     // occupancy histogram cover the whole run. Between scheduled events
     // a tick is a no-op (the `next_event_cycle` freeze contract), so

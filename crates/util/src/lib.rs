@@ -22,6 +22,8 @@
 //!   histograms) with byte-stable JSON serialization, deterministic
 //!   merging, and a strict JSON parser for shape validation;
 //! * [`diff`] — line-oriented unified diffs for snapshot tests;
+//! * [`hash`] — a fixed multiply-and-fold hasher and the `U64Map` /
+//!   `U64Set` aliases for address-keyed maps;
 //! * [`progress`] — a line-buffered, mutex-serialized writer so
 //!   concurrent campaign workers emit whole progress lines on stderr.
 //!
@@ -35,6 +37,7 @@
 pub mod bench;
 pub mod check;
 pub mod diff;
+pub mod hash;
 pub mod obs;
 pub mod pool;
 pub mod progress;
